@@ -1,0 +1,11 @@
+"""Puts the benchmark's modules and the program's ``src/`` on the path.
+
+Run with ``python -m pytest perfbench/tests`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(BENCH.parent / "src"))
+sys.path.insert(0, str(BENCH))
