@@ -2,10 +2,11 @@
 
 Monotone probabilistic events are compiled into reduced ordered decision
 diagrams; a derivative-based propagator enforces domain consistency on
-threshold constraints over them in time linear in the diagram, and a
-branch-and-prune search solves satisfaction and threshold-ramping
-optimization problems.  A naive re-evaluation propagator and an interval
-propagator on the circuit decomposition are included as reference points.
+threshold constraints over them in time linear in the diagram, and one
+depth-first search solves satisfaction problems and, by branch-and-bound
+on the objective's threshold, optimization problems.  A naive
+re-evaluation propagator and an interval propagator on the circuit
+decomposition are included as reference points.
 """
 
 from .errors import CapacityError, ParseError, ScopddError, StructureError

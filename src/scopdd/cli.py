@@ -65,7 +65,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve a problem file")
     p.add_argument("problem", help="problem file")
-    p.add_argument("--delta", type=float, default=1e-9, help="threshold ramping step")
+    p.add_argument("--delta", type=float, default=1e-9,
+                   help="least improvement over the incumbent (finite, >= 0)")
     p.add_argument("--theta", type=float, help="override the constraint threshold")
     p.add_argument("--cardinality", type=int, help="override the cardinality bound")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -132,12 +133,18 @@ def _load_terms(paths, rewards_arg):
         if dd.vars != diagrams[0].vars:
             raise ScopddError("diagram files declare different variable blocks")
     if rewards_arg:
-        rewards = [float(tok) for tok in rewards_arg.split(",")]
+        try:
+            rewards = [float(tok) for tok in rewards_arg.split(",")]
+        except ValueError:
+            raise ScopddError(f"bad --rewards {rewards_arg!r}") from None
         if len(rewards) != len(diagrams):
             raise ScopddError("need one reward per diagram file")
     else:
         rewards = [1.0] * len(diagrams)
-    return [ConstraintTerm(dd, r) for dd, r in zip(diagrams, rewards)]
+    try:
+        return [ConstraintTerm(dd, r) for dd, r in zip(diagrams, rewards)]
+    except ValueError as exc:  # a negative or non-finite reward
+        raise ScopddError(str(exc)) from None
 
 
 def _parse_fixes(fix_args, table):
@@ -235,7 +242,10 @@ def cmd_solve(args) -> int:
         problem.constraints[0].theta = args.theta
 
     if problem.objective is not None:
-        strategy, value, stats = solve_opt(problem, delta=args.delta)
+        try:
+            strategy, value, stats = solve_opt(problem, delta=args.delta)
+        except ValueError as exc:
+            raise ScopddError(str(exc)) from None
     else:
         strategy, stats = solve_sat(problem)
         value = None

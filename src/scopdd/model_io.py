@@ -20,6 +20,7 @@ over the path's edges, edges usable in either direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, ParseError
@@ -171,8 +172,8 @@ def parse_network(text: str) -> ParsedModel:
                     reward = float(tokens[4])
                 except ValueError:
                     raise ParseError(f"bad reward {tokens[4]!r}", lineno) from None
-                if reward < 0:
-                    raise ParseError(f"reward must be nonnegative: {reward}", lineno)
+                if not 0.0 <= reward < math.inf:
+                    raise ParseError(f"reward must be finite and nonnegative: {reward}", lineno)
             queries.append(Query(s, t, reward))
         elif keyword == "cardinality":
             if len(tokens) != 3 or tokens[1] != "<=":
@@ -200,6 +201,8 @@ def parse_network(text: str) -> ParsedModel:
                 theta = float(tokens[2])
             except ValueError:
                 raise ParseError(f"bad threshold {tokens[2]!r}", lineno) from None
+            if not math.isfinite(theta):
+                raise ParseError(f"threshold must be finite: {theta}", lineno)
             goal_seen = True
         elif keyword == "order":
             if order is not None:

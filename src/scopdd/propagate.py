@@ -22,6 +22,7 @@ d and child values only involve variables below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .evaluate import BOTH, DomainState, FALSE_ONLY, _check_compatible, sweep_values
@@ -43,8 +44,8 @@ class ConstraintTerm:
     reward: float = 1.0
 
     def __post_init__(self):
-        if self.reward < 0:
-            raise ValueError(f"reward must be nonnegative, got {self.reward}")
+        if not 0.0 <= self.reward < math.inf:
+            raise ValueError(f"reward must be finite and nonnegative, got {self.reward}")
 
 
 @dataclass

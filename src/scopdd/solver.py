@@ -3,27 +3,22 @@
 Satisfaction mode interleaves the cardinality propagator and the
 domain-consistent threshold propagator to a joint fixpoint at every search
 node; branching picks the first free decision variable in the global order
-and tries true before false.  Optimization ramps the threshold: the
-objective is recast as a constraint whose bound increases past each
-incumbent until the residual problem is unsatisfiable.
+and tries true before false.  Optimization is branch-and-bound in the
+same search: the objective is recast as a constraint whose threshold is
+raised in place past each incumbent, and the search goes on from there
+until the tree is exhausted.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
-from .evaluate import DomainState, evaluate
+from .evaluate import TRUE_ONLY, DomainState, evaluate
 from .obdd import VariableTable
-from .propagate import (
-    ConstraintTerm,
-    FAILED,
-    OK,
-    PropagationResult,
-    PropagationScratch,
-    THRESHOLD_EPS,
-    dc_propagate,
-)
+from .propagate import (ConstraintTerm, FAILED, OK, PropagationResult, PropagationScratch,
+                        THRESHOLD_EPS, dc_propagate)
 
 
 @dataclass
@@ -58,23 +53,11 @@ class SearchStats:
     backtracks: int = 0
     propagator_calls: int = 0
     node_visits: int = 0
+    incumbents: int = 0
     wall_time: float = 0.0
 
-    def merge(self, other: "SearchStats") -> None:
-        self.nodes_expanded += other.nodes_expanded
-        self.backtracks += other.backtracks
-        self.propagator_calls += other.propagator_calls
-        self.node_visits += other.node_visits
-        self.wall_time += other.wall_time
-
     def as_dict(self) -> dict:
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "backtracks": self.backtracks,
-            "propagator_calls": self.propagator_calls,
-            "node_visits": self.node_visits,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 def cardinality_propagate(domains: DomainState, bound: int) -> PropagationResult:
@@ -107,47 +90,123 @@ def propagation_loop(
     switches the threshold propagator to its incremental form; false-fixes
     coming out of the cardinality propagator are applied to every scratch.
     """
+    if stats is None:
+        stats = SearchStats()
     all_scratches = [s for group in scratches for s in group] if scratches else []
     all_fixed: list[tuple[int, bool]] = []
-    visits = 0
+    seen = stats.node_visits  # this call's visits are node_visits - seen
     bound = None
     while True:
         changed = False
         if problem.cardinality is not None:
             result = cardinality_propagate(domains, problem.cardinality)
-            if stats is not None:
-                stats.propagator_calls += 1
+            stats.propagator_calls += 1
             if not result.ok:
-                return PropagationResult(FAILED, bound=bound, visits=visits)
+                return PropagationResult(FAILED, bound=bound, visits=stats.node_visits - seen)
             for var, value in result.fixed:
                 for scratch in all_scratches:
-                    touched = scratch.apply_fix(var, value)
-                    visits += touched
-                    if stats is not None:
-                        stats.node_visits += touched
+                    stats.node_visits += scratch.apply_fix(var, value)
             if result.fixed:
                 changed = True
                 all_fixed.extend(result.fixed)
         for index, constraint in enumerate(problem.constraints):
-            result = dc_propagate(
-                constraint.terms,
-                domains,
-                constraint.theta,
-                eps=constraint.eps,
-                scratches=scratches[index] if scratches else None,
-            )
-            visits += result.visits
-            if stats is not None:
-                stats.propagator_calls += 1
-                stats.node_visits += result.visits
+            result = dc_propagate(constraint.terms, domains, constraint.theta, eps=constraint.eps,
+                                  scratches=scratches[index] if scratches else None)
+            stats.propagator_calls += 1
+            stats.node_visits += result.visits
             if not result.ok:
-                return PropagationResult(FAILED, bound=result.bound, visits=visits)
+                return PropagationResult(
+                    FAILED, bound=result.bound, visits=stats.node_visits - seen
+                )
             bound = result.bound
             if result.fixed:
                 changed = True
                 all_fixed.extend(result.fixed)
         if not changed:
-            return PropagationResult(OK, fixed=all_fixed, bound=bound, visits=visits)
+            return PropagationResult(
+                OK, fixed=all_fixed, bound=bound, visits=stats.node_visits - seen
+            )
+
+
+def _search(problem: Problem, objective: list[ConstraintTerm] | None,
+            delta: float) -> tuple[dict[int, bool] | None, float | None, SearchStats]:
+    """The one depth-first search, on an explicit stack.
+
+    Without ``objective`` it stops at the first solution.  With one, each
+    improving solution becomes the incumbent and raises the objective
+    constraint's exact (slack-free) threshold in place to its value + delta;
+    the search backtracks and goes on, propagating each frame it returns to
+    again under the raised threshold.  Nothing is rebuilt and no prefix is
+    explored twice, since scratches do not depend on the threshold.
+    """
+    stats = SearchStats()
+    start = time.perf_counter()
+    goal = None
+    if objective is not None:
+        goal = Constraint(objective, 0.0, eps=0.0)
+        problem = Problem(problem.vars, problem.constraints + [goal], problem.cardinality)
+    domains = DomainState(problem.vars)
+    scratches = [
+        [PropagationScratch(term.obdd, domains) for term in constraint.terms]
+        for constraint in problem.constraints
+    ]
+    flat = [s for group in scratches for s in group]
+    stats.node_visits += sum(s.visits for s in flat)  # initial full rebuilds
+    order = problem.vars.decision_ids()
+    best, best_value = None, None
+
+    # frame: [position in order, domain mark, scratch marks, branches taken,
+    # incumbents when last propagated]; all variables before position are fixed
+    stack: list[list] = []
+    ok = propagation_loop(domains, problem, scratches, stats).ok
+    while True:
+        if ok:
+            pos = stack[-1][0] + 1 if stack else 0
+            while pos < len(order) and not domains.is_free(order[pos]):
+                pos += 1
+            if pos < len(order):
+                stack.append([pos, domains.mark(), [s.mark() for s in flat], 0, stats.incumbents])
+            elif goal is None:
+                best = domains.as_strategy()
+                break
+            else:
+                strategy = domains.as_strategy()
+                value = strategy_value(objective, problem.vars, strategy)
+                if best_value is None or value > best_value:
+                    best, best_value = strategy, value
+                    stats.incumbents += 1
+                    goal.theta = value + delta
+        # undo the top frame's live branch; drop frames with no branch left
+        while stack:
+            pos, domain_mark, scratch_marks, taken, seen = frame = stack[-1]
+            if taken:
+                domains.undo_to(domain_mark)
+                for scratch, mark in zip(flat, scratch_marks):
+                    scratch.undo_to(mark)
+                stats.backtracks += 1
+            if taken < 2:
+                break
+            stack.pop()
+        if not stack:
+            break
+        var, branch = order[pos], taken == 0  # true first
+        if seen < stats.incumbents:  # the threshold rose: propagate this state again
+            frame[4] = stats.incumbents
+            ok = propagation_loop(domains, problem, scratches, stats).ok
+            if not ok or domains.domain(var) == TRUE_ONLY:  # false branch pruned
+                stack.pop()
+                ok = False
+                continue
+        frame[3] = taken + 1
+        stats.nodes_expanded += 1
+        if domains.is_free(var):  # else propagation just forced it false
+            domains.fix(var, branch)
+            if not branch:
+                for scratch in flat:
+                    stats.node_visits += scratch.apply_fix(var, False)
+            ok = propagation_loop(domains, problem, scratches, stats).ok
+    stats.wall_time += time.perf_counter() - start
+    return best, best_value, stats
 
 
 def solve_sat(problem: Problem) -> tuple[dict[int, bool] | None, SearchStats]:
@@ -155,51 +214,8 @@ def solve_sat(problem: Problem) -> tuple[dict[int, bool] | None, SearchStats]:
 
     Complete: a None answer means no strategy satisfies all constraints.
     """
-    stats = SearchStats()
-    start = time.perf_counter()
-    domains = DomainState(problem.vars)
-    scratches = [
-        [PropagationScratch(term.obdd, domains) for term in constraint.terms]
-        for constraint in problem.constraints
-    ]
-    flat = [s for group in scratches for s in group]
-    for scratch in flat:
-        stats.node_visits += scratch.visits  # initial full rebuilds
-    decision_order = problem.vars.decision_ids()
-
-    def first_free() -> int | None:
-        for var in decision_order:
-            if domains.is_free(var):
-                return var
-        return None
-
-    def dfs() -> dict[int, bool] | None:
-        var = first_free()
-        if var is None:
-            return domains.as_strategy()
-        for value in (True, False):
-            stats.nodes_expanded += 1
-            domain_mark = domains.mark()
-            scratch_marks = [s.mark() for s in flat]
-            domains.fix(var, value)
-            if not value:
-                for scratch in flat:
-                    stats.node_visits += scratch.apply_fix(var, value)
-            result = propagation_loop(domains, problem, scratches, stats)
-            if result.ok:
-                solution = dfs()
-                if solution is not None:
-                    return solution
-            domains.undo_to(domain_mark)
-            for scratch, mark in zip(flat, scratch_marks):
-                scratch.undo_to(mark)
-            stats.backtracks += 1
-        return None
-
-    root = propagation_loop(domains, problem, scratches, stats)
-    solution = dfs() if root.ok else None
-    stats.wall_time += time.perf_counter() - start
-    return solution, stats
+    strategy, _, stats = _search(problem, None, 0.0)
+    return strategy, stats
 
 
 def strategy_value(terms: list[ConstraintTerm], problem_vars: VariableTable,
@@ -212,32 +228,14 @@ def strategy_value(terms: list[ConstraintTerm], problem_vars: VariableTable,
 def solve_opt(
     problem: Problem, *, delta: float = 1e-9
 ) -> tuple[dict[int, bool] | None, float | None, SearchStats]:
-    """Maximize the objective by threshold ramping.
+    """Maximize the objective by branch-and-bound.
 
-    Solves satisfaction problems with the objective recast as a constraint,
-    raising its threshold to incumbent + delta after every solution; the
-    last solution found is optimal to within delta.  The ramping constraint
-    uses an exact threshold (no slack), otherwise a slack equal to delta
-    would re-admit the incumbent forever.
+    Every later solution must beat the incumbent by at least ``delta``, so
+    the last one found is optimal to within delta.  ``delta`` must be finite
+    and nonnegative; with 0 the first optimal strategy in search order wins.
     """
     if problem.objective is None:
         raise ValueError("problem has no objective")
-    total = SearchStats()
-    best: dict[int, bool] | None = None
-    best_value: float | None = None
-    theta = 0.0
-    while True:
-        sub = Problem(
-            vars=problem.vars,
-            constraints=problem.constraints
-            + [Constraint(problem.objective, theta, eps=0.0)],
-            cardinality=problem.cardinality,
-        )
-        solution, stats = solve_sat(sub)
-        total.merge(stats)
-        if solution is None:
-            break
-        best = solution
-        best_value = strategy_value(problem.objective, problem.vars, solution)
-        theta = best_value + delta
-    return best, best_value, total
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
+    return _search(problem, problem.objective, delta)

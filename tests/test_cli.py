@@ -110,6 +110,12 @@ class TestPropagateCmd:
     def test_theta_outside_reward_range(self, choice_file, capsys):
         assert main(["propagate", str(choice_file), "--theta", "1.5"]) == 1
 
+    @pytest.mark.parametrize("rewards", ["-1", "nan", "inf", "abc"])
+    def test_bad_reward_exit_one(self, choice_file, capsys, rewards):
+        argv = ["propagate", str(choice_file), "--theta", "0.3", "--rewards", rewards]
+        assert main(argv) == 1
+        assert "scopdd: error:" in capsys.readouterr().err
+
 
 class TestUsageErrors:
     def test_bad_arguments_exit_one(self, capsys):
@@ -136,8 +142,14 @@ class TestSolveCmd:
         }
         assert set(record["stats"]) == {
             "nodes_expanded", "backtracks", "propagator_calls",
-            "node_visits", "wall_time",
+            "node_visits", "incumbents", "wall_time",
         }
+        assert record["stats"]["incumbents"] == 3
+
+    @pytest.mark.parametrize("delta", ["-0.1", "nan", "inf"])
+    def test_invalid_delta_exit_one(self, net_file, capsys, delta):
+        assert main(["solve", str(net_file), "--delta", delta]) == 1
+        assert "delta must be finite and nonnegative" in capsys.readouterr().err
 
     def test_unsat_exit_two(self, tmp_path, four_node_text, capsys):
         text = four_node_text.replace("objective maximize", "constraint >= 1.4")

@@ -76,6 +76,20 @@ class TestParseNetwork:
         with pytest.raises(sc.ParseError, match="unknown directive"):
             sc.parse_network("node a\nwibble\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_rejected(self, value):
+        # with a NaN threshold this disconnected query used to read as sat
+        text = f"node a\nnode b\nnode c\nedge a b 0.5\nquery a c\nconstraint >= {value}\n"
+        with pytest.raises(sc.ParseError, match="line 6: threshold must be finite"):
+            sc.parse_network(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_reward_rejected(self, value):
+        # an infinite reward used to make the optimization loop forever
+        text = f"node a\nnode b\nedge a b 0.5\nquery a b reward {value}\nobjective maximize\n"
+        with pytest.raises(sc.ParseError, match="line 4: reward must be finite"):
+            sc.parse_network(text)
+
     def test_reward_defaults_to_one(self):
         text = "node a\nnode b\nedge a b 0.5\nquery a b\nobjective maximize\n"
         model = sc.parse_network(text)

@@ -1,5 +1,6 @@
 """Cardinality propagation, the propagation loop, and the two search modes."""
 
+import math
 import random
 
 import pytest
@@ -34,6 +35,34 @@ def brute_opt(problem):
         sc.strategy_value(problem.objective, problem.vars, strategy)
         for strategy in feasible_strategies(problem)
     )
+
+
+def ramp_opt(problem, delta=1e-9):
+    """Optimization by threshold ramping, the path ``solve_opt`` replaced:
+    re-solve satisfaction with the objective as an exact-threshold constraint
+    raised past each incumbent, until unsatisfiable.  Returns the last
+    strategy, its value, the incumbent count and the summed search nodes."""
+    best, value, incumbents, nodes = None, None, 0, 0
+    while True:
+        theta = 0.0 if value is None else value + delta
+        ramp = sc.Constraint(problem.objective, theta, eps=0.0)
+        sub = sc.Problem(problem.vars, problem.constraints + [ramp], problem.cardinality)
+        strategy, stats = sc.solve_sat(sub)
+        nodes += stats.nodes_expanded
+        if strategy is None:
+            return best, value, incumbents, nodes
+        best, incumbents = strategy, incumbents + 1
+        value = sc.strategy_value(problem.objective, problem.vars, strategy)
+
+
+def star_problem(goal, leaves=1100):
+    """Hub ``h`` joined to ``leaves`` nodes, one query to the first: the
+    search runs one level per edge, deeper than Python's default recursion
+    limit of 1,000."""
+    lines = ["node h"] + [f"node x{i}" for i in range(leaves)]
+    lines += [f"edge h x{i} 0.5" for i in range(leaves)]
+    lines += ["query h x0", goal]
+    return sc.build_problem(sc.parse_network("\n".join(lines) + "\n"))
 
 
 def random_problem(rng):
@@ -253,6 +282,49 @@ class TestSolveOpt:
                 assert sum(strategy.values()) <= problem.cardinality
         assert checked > 30
 
+    def test_matches_threshold_ramp(self, net_model):
+        rng = random.Random(71)
+        problems = [sc.build_problem(net_model)]
+        for _ in range(120):
+            problem, maximize = random_problem(rng)
+            if maximize:
+                problems.append(problem)
+        assert len(problems) > 30
+        for problem in problems:
+            ref, ref_value, ref_incumbents, ref_nodes = ramp_opt(problem)
+            strategy, value, stats = sc.solve_opt(problem)
+            assert strategy == ref
+            assert value == pytest.approx(ref_value, abs=1e-12)
+            assert stats.incumbents == ref_incumbents
+            assert stats.nodes_expanded <= ref_nodes
+
+    def test_zero_delta_reaches_optimum(self, net_model):
+        problem = sc.build_problem(net_model)
+        strategy, value, _ = sc.solve_opt(problem, delta=0.0)
+        assert value == pytest.approx(brute_opt(problem), abs=1e-12)
+        assert value == sc.strategy_value(problem.objective, problem.vars, strategy)
+        assert (strategy, value) == sc.solve_opt(problem)[:2]
+
+    @pytest.mark.parametrize("delta", [-0.1, math.nan, math.inf])
+    def test_invalid_delta_rejected(self, net_model, delta):
+        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            sc.solve_opt(sc.build_problem(net_model), delta=delta)
+
+
+class TestDeepSearch:
+    def test_sat_deeper_than_recursion_limit(self):
+        problem = star_problem("constraint >= 0.4")
+        strategy, stats = sc.solve_sat(problem)
+        assert strategy == {v: True for v in problem.vars.decision_ids()}
+        assert stats.nodes_expanded == 1099  # d_hx0 is fixed at the root
+
+    def test_opt_deeper_than_recursion_limit(self):
+        problem = star_problem("objective maximize")
+        strategy, value, stats = sc.solve_opt(problem)
+        assert strategy == {v: True for v in problem.vars.decision_ids()}
+        assert value == pytest.approx(0.5, abs=1e-12)
+        assert stats.incumbents == 1
+
 
 class TestProblemValidation:
     def test_needs_constraint_or_objective(self, choice):
@@ -270,3 +342,8 @@ class TestProblemValidation:
     def test_negative_reward_rejected(self, choice):
         with pytest.raises(ValueError):
             sc.ConstraintTerm(choice.dd, reward=-0.5)
+
+    @pytest.mark.parametrize("reward", [math.nan, math.inf])
+    def test_non_finite_reward_rejected(self, choice, reward):
+        with pytest.raises(ValueError, match="reward must be finite"):
+            sc.ConstraintTerm(choice.dd, reward=reward)
