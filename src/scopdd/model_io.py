@@ -48,15 +48,6 @@ class ProbNetwork:
     nodes: list[str]
     edges: list[Edge]
 
-    def neighbors(self, node: str) -> list[tuple[str, Edge]]:
-        out = []
-        for edge in self.edges:
-            if edge.u == node:
-                out.append((edge.v, edge))
-            elif edge.v == node:
-                out.append((edge.u, edge))
-        return out
-
 
 @dataclass(frozen=True)
 class Query:
@@ -117,8 +108,10 @@ def _register_variables(network, order, lineno_of_order):
 
 def parse_network(text: str) -> ParsedModel:
     """Parse a problem file; raises ParseError with a line number on bad input."""
-    nodes: list[str] = []
+    nodes: list[str] = []  # declaration order, for format_model
+    node_set: set[str] = set()
     edges: list[Edge] = []
+    edge_keys: set[frozenset] = set()
     queries: list[Query] = []
     cardinality: int | None = None
     maximize = False
@@ -136,15 +129,16 @@ def parse_network(text: str) -> ParsedModel:
         if keyword == "node":
             if len(tokens) != 2:
                 raise ParseError("expected 'node <name>'", lineno)
-            if tokens[1] in nodes:
+            if tokens[1] in node_set:
                 raise ParseError(f"duplicate node {tokens[1]!r}", lineno)
             nodes.append(tokens[1])
+            node_set.add(tokens[1])
         elif keyword == "edge":
             if len(tokens) != 4:
                 raise ParseError("expected 'edge <u> <v> <p>'", lineno)
             u, v = tokens[1], tokens[2]
             for name in (u, v):
-                if name not in nodes:
+                if name not in node_set:
                     raise ParseError(f"unknown node {name!r}", lineno)
             if u == v:
                 raise ParseError(f"self-loop on {u!r}", lineno)
@@ -154,15 +148,17 @@ def parse_network(text: str) -> ParsedModel:
                 raise ParseError(f"bad probability {tokens[3]!r}", lineno) from None
             if not 0.0 <= prob <= 1.0:
                 raise ParseError(f"probability outside [0, 1]: {prob}", lineno)
-            if any(e.key() == frozenset((u, v)) for e in edges):
+            edge = Edge(u, v, prob)
+            if edge.key() in edge_keys:
                 raise ParseError(f"duplicate edge {u!r}-{v!r}", lineno)
-            edges.append(Edge(u, v, prob))
+            edges.append(edge)
+            edge_keys.add(edge.key())
         elif keyword == "query":
             if len(tokens) not in (3, 5) or (len(tokens) == 5 and tokens[3] != "reward"):
                 raise ParseError("expected 'query <s> <t> [reward <r>]'", lineno)
             s, t = tokens[1], tokens[2]
             for name in (s, t):
-                if name not in nodes:
+                if name not in node_set:
                     raise ParseError(f"unknown node {name!r}", lineno)
             if s == t:
                 raise ParseError("query source and target must differ", lineno)
@@ -256,14 +252,21 @@ def st_path_dnf(
     path.  Disconnected endpoints yield an empty list (a constant-false
     event); more than ``cap`` paths raises CapacityError."""
     network = model.network
+    adjacency: dict[str, list[tuple[str, Edge]]] = {name: [] for name in network.nodes}
+    for edge in network.edges:
+        adjacency[edge.u].append((edge.v, edge))
+        adjacency[edge.v].append((edge.u, edge))
     for name in (query.source, query.target):
-        if name not in network.nodes:
+        if name not in adjacency:
             raise ValueError(f"unknown node {name!r}")
     cubes: list[Cube] = []
     visited = {query.source}
     path_edges: list[Edge] = []
-
-    def walk(at: str) -> None:
+    # depth-first over simple paths; each frame holds a path node and the
+    # iterator over its remaining neighbours, in edge declaration order
+    stack = [(query.source, iter(adjacency[query.source]))]
+    while stack:
+        at, neighbors = stack[-1]
         if at == query.target:
             if len(cubes) >= cap:
                 raise CapacityError(
@@ -275,17 +278,18 @@ def st_path_dnf(
                 literals.append((model.decision_var[edge.key()], True))
                 literals.append((model.stoch_var[edge.key()], True))
             cubes.append(Cube(tuple(literals)))
-            return
-        for neighbor, edge in network.neighbors(at):
-            if neighbor in visited:
-                continue
-            visited.add(neighbor)
-            path_edges.append(edge)
-            walk(neighbor)
-            path_edges.pop()
-            visited.remove(neighbor)
-
-    walk(query.source)
+            neighbors = ()  # a path ends at the target
+        for neighbor, edge in neighbors:
+            if neighbor not in visited:
+                visited.add(neighbor)
+                path_edges.append(edge)
+                stack.append((neighbor, iter(adjacency[neighbor])))
+                break
+        else:
+            stack.pop()
+            visited.discard(at)
+            if path_edges:
+                path_edges.pop()
     return cubes
 
 

@@ -9,9 +9,10 @@ propagators live here:
 * ``dc_propagate`` computes, in one top-down path-weight pass and one
   bottom-up value pass per diagram, the drop in the optimistic bound caused
   by fixing any free variable to false, and prunes in O(m+n) visits;
-* ``PropagationScratch.apply_fix`` keeps the two passes incremental: fixing
-  a variable to true touches nothing, fixing it to false recomputes path
-  weights only below the variable's level and values only at or above it.
+* ``PropagationScratch`` keeps both passes for a search: fixing a variable
+  to true touches nothing, and each batch of false-fixes is repaired by one
+  level-ordered sweep of path weights plus one sweep of the values at or
+  above the deepest fixed level, bit-identical to a full recompute.
 
 The derivative identity behind ``dc_propagate``: for a free decision
 variable d, the optimistic bound drops by exactly
@@ -166,15 +167,16 @@ def dc_propagate(
 
     When ``scratches`` (one per term, consistent with ``domains``) are
     given, the two sweeps are skipped and drops are read off the scratch
-    arrays.
+    arrays, for the free variables that label a node only: any other
+    variable's drop is zero, so it is never forced.
     """
     _check_terms(terms, domains)
     visits = 0
     bound = 0.0
-    free = domains.free_vars()
-    drop = dict.fromkeys(free, 0.0)
 
     if scratches is None:
+        free = domains.free_vars()
+        drop = dict.fromkeys(free, 0.0)
         for term in terms:
             dd = term.obdd
             order = dd.topo_order()
@@ -203,23 +205,28 @@ def dc_propagate(
                     val[node] = w * val[hi] + (1.0 - w) * val[lo]
             visits += len(internal)
             bound += term.reward * val[dd.root]
+        visits += len(free)
     else:
         if len(scratches) != len(terms):
             raise ValueError("need one scratch per term")
+        dom = domains._dom
+        drop = {}
         for term, scratch in zip(terms, scratches):
             bound += term.reward * scratch.root_value()
-            for var in free:
-                for node in scratch.var_nodes.get(var, ()):
-                    drop[var] += term.reward * scratch.pi[node] * (
-                        scratch.val[scratch.dd.hi(node)] - scratch.val[scratch.dd.lo(node)]
-                    )
-                    visits += 1
+            pi, val, dd = scratch.pi, scratch.val, scratch.dd
+            for var, nodes in scratch.var_nodes.items():
+                if dom[var] != BOTH:
+                    continue
+                total = drop.get(var, 0.0)
+                for node in nodes:
+                    total += term.reward * pi[node] * (val[dd.hi(node)] - val[dd.lo(node)])
+                drop[var] = total
+                visits += len(nodes)
 
-    visits += len(free)
     if bound < theta - eps:
         return PropagationResult(FAILED, bound=bound, visits=visits)
     fixed = []
-    for var in free:
+    for var in sorted(drop):
         if bound - drop[var] < theta - eps:
             domains.fix(var, True)
             fixed.append((var, True))
@@ -263,10 +270,14 @@ def naive_propagate(
 class PropagationScratch:
     """Reusable per-diagram propagation state: path weights and values.
 
-    Owned by a single search worker.  ``rebuild`` runs the two full passes;
-    ``apply_fix`` updates both arrays incrementally after one variable fix,
-    touching only the affected region.  All array writes go on a trail so
-    ``undo_to`` can restore the state on backtrack without recomputing.
+    Owned by a single search worker.  The reachable internal nodes are kept
+    as flat rows ``(node, var, lo, hi, w)`` in level order, with ``w`` the
+    probability of a stochastic node and None for a decision node.  Every
+    pass is a linear sweep over those rows with the arithmetic of
+    ``sweep_path_weights`` / ``sweep_values``, so ``pi`` and ``val`` are
+    always bit-identical to a full recompute.  A repair replaces both lists
+    and pushes the old pair on a trail, so ``undo_to`` restores a search
+    state by swapping lists back.
     """
 
     def __init__(self, dd: Obdd, domains: DomainState):
@@ -274,33 +285,62 @@ class PropagationScratch:
         self.dd = dd
         self.domains = domains
         self.root = dd.root
-        self.order = dd.topo_order()
-        self.internal = [n for n in self.order if n >= 2]
-        self.pi = [0.0] * len(dd)
-        self.val = [0.0] * len(dd)
         self.visits = 0
-        self._trail: list[tuple[int, int, float]] = []
+        self._trail: list[tuple[list[float], list[float]]] = []
+        self.rows: list[tuple[int, int, int, int, float | None]] = []
         # decision variable -> the diagram nodes it labels
         self.var_nodes: dict[int, list[int]] = {}
-        self._parents: dict[int, list[int]] = {n: [] for n in self.order}
-        for node in self.internal:
+        # decision variable -> one past the last row at its level (0: no nodes)
+        self._end = [0] * len(dd.vars)
+        for node in dd.topo_order():
+            if node < 2:
+                continue
             var = dd.var_of(node)
-            if dd.vars.is_decision(var):
+            info = dd.vars.info(var)
+            if info.kind == DECISION:
                 self.var_nodes.setdefault(var, []).append(node)
-            self._parents[dd.lo(node)].append(node)
-            self._parents[dd.hi(node)].append(node)
+                self._end[var] = len(self.rows) + 1
+            self.rows.append((node, var, dd.lo(node), dd.hi(node),
+                              None if info.kind == DECISION else info.prob))
         self.rebuild()
 
     def rebuild(self) -> None:
         """Full two-pass recompute under the current domains; clears the trail."""
-        dd, domains = self.dd, self.domains
-        pi = sweep_path_weights(dd, domains, self.root)
-        val = sweep_values(dd, domains, self.root)
-        for node in self.order:
-            self.pi[node] = pi[node]
-            self.val[node] = val[node]
-        self.visits += 2 * len(self.internal)
+        self.pi = self._path_weights()
+        self.val = [0.0] * len(self.dd)
+        self.val[1] = 1.0
+        self._values(self.val, len(self.rows))
+        self.visits += 2 * len(self.rows)
         self._trail.clear()
+
+    def _path_weights(self) -> list[float]:
+        """Top-down pass over all rows into a fresh list."""
+        dom = self.domains._dom
+        pi = [0.0] * len(self.dd)
+        pi[self.root] = 1.0
+        for node, var, lo, hi, w in self.rows:
+            p = pi[node]
+            if p == 0.0:
+                continue
+            if w is None:
+                if dom[var] != FALSE_ONLY:
+                    pi[hi] += p
+                else:
+                    pi[lo] += p
+            else:
+                pi[hi] += w * p
+                pi[lo] += (1.0 - w) * p
+        return pi
+
+    def _values(self, val: list[float], end: int) -> None:
+        """Bottom-up pass over rows ``[0, end)``, in place; the values of
+        rows from ``end`` on must already be current."""
+        dom = self.domains._dom
+        for node, var, lo, hi, w in reversed(self.rows[:end]):
+            if w is None:
+                val[node] = val[lo] if dom[var] == FALSE_ONLY else val[hi]
+            else:
+                val[node] = w * val[hi] + (1.0 - w) * val[lo]
 
     def root_value(self) -> float:
         return self.val[self.root]
@@ -317,93 +357,40 @@ class PropagationScratch:
     def derivatives(self) -> dict[int, float]:
         return {var: self.derivative(var) for var in self.domains.free_vars()}
 
-    # -- incremental maintenance ---------------------------------------
+    # -- repair after fixes -----------------------------------------------
 
-    def apply_fix(self, var: int, value: bool) -> int:
-        """Update the arrays after ``var`` was fixed; returns nodes touched.
+    def apply_fixes(self, fixes: list[tuple[int, bool]]) -> int:
+        """Bring both lists up to date after a batch of fixes; returns the
+        rows swept.
 
-        The domain state must already reflect the fix.  Fixing to true is
+        The domain state must already reflect the fixes.  Fixing to true is
         free: free decision nodes already route their path weight and value
-        through the hi arc.  Fixing to false re-propagates path-weight
-        deltas downward from the variable's nodes and recomputes values
-        upward from them, stopping where nothing changes.
+        through the hi arc.  False-fixes cost one path-weight sweep over all
+        rows and one value sweep over the rows at or above the deepest fixed
+        level, however many variables the batch fixes.
         """
-        if value:
+        end = max((self._end[var] for var, value in fixes if not value), default=0)
+        if not end:
             return 0
-        dd = self.dd
-        dom = self.domains._dom
-        nodes = self.var_nodes.get(var, ())
-        touched = 0
-
-        # path weights: deltas flow strictly below the fixed variable's level
-        pending: dict[int, dict[int, float]] = {}
-
-        def add_delta(node: int, delta: float) -> None:
-            if delta != 0.0:
-                level = pending.setdefault(dd.level(node), {})
-                level[node] = level.get(node, 0.0) + delta
-
-        for node in nodes:
-            p = self.pi[node]
-            add_delta(dd.hi(node), -p)
-            add_delta(dd.lo(node), p)
-        while pending:
-            level = min(pending)
-            for node, delta in sorted(pending.pop(level).items()):
-                if delta == 0.0:
-                    continue
-                self._trail.append((0, node, self.pi[node]))
-                self.pi[node] += delta
-                touched += 1
-                if node < 2:
-                    continue
-                nvar = dd.var_of(node)
-                info = dd.vars.info(nvar)
-                if info.kind == DECISION:
-                    if dom[nvar] != FALSE_ONLY:
-                        add_delta(dd.hi(node), delta)
-                    else:
-                        add_delta(dd.lo(node), delta)
-                else:
-                    add_delta(dd.hi(node), info.prob * delta)
-                    add_delta(dd.lo(node), (1.0 - info.prob) * delta)
-
-        # values: recompute upward from the variable's nodes, deepest first
-        up: dict[int, set[int]] = {}
-        for node in nodes:
-            up.setdefault(dd.level(node), set()).add(node)
-        while up:
-            level = max(up)
-            for node in sorted(up.pop(level)):
-                nvar = dd.var_of(node)
-                info = dd.vars.info(nvar)
-                if info.kind == DECISION:
-                    branch = dd.lo(node) if dom[nvar] == FALSE_ONLY else dd.hi(node)
-                    new = self.val[branch]
-                else:
-                    new = info.prob * self.val[dd.hi(node)] + (
-                        1.0 - info.prob
-                    ) * self.val[dd.lo(node)]
-                touched += 1
-                if new != self.val[node]:
-                    self._trail.append((1, node, self.val[node]))
-                    self.val[node] = new
-                    for parent in self._parents[node]:
-                        up.setdefault(dd.level(parent), set()).add(parent)
-
+        self._trail.append((self.pi, self.val))
+        self.pi = self._path_weights()
+        self.val = list(self.val)
+        self._values(self.val, end)
+        touched = len(self.rows) + end
         self.visits += touched
         return touched
+
+    def apply_fix(self, var: int, value: bool) -> int:
+        """``apply_fixes`` for one fix."""
+        return self.apply_fixes([(var, value)])
 
     def mark(self) -> int:
         return len(self._trail)
 
     def undo_to(self, mark: int) -> None:
-        while len(self._trail) > mark:
-            which, node, old = self._trail.pop()
-            if which == 0:
-                self.pi[node] = old
-            else:
-                self.val[node] = old
+        if len(self._trail) > mark:
+            self.pi, self.val = self._trail[mark]
+            del self._trail[mark:]
 
 
 def incremental_fix(scratch: PropagationScratch, var: int, value: bool) -> PropagationScratch:

@@ -87,8 +87,8 @@ def propagation_loop(
 ) -> PropagationResult:
     """Run cardinality then every threshold constraint, round-robin, until a
     joint fixpoint or failure.  ``scratches`` (one list per constraint)
-    switches the threshold propagator to its incremental form; false-fixes
-    coming out of the cardinality propagator are applied to every scratch.
+    switches the threshold propagator to its incremental form; the
+    false-fixes of one cardinality call repair every scratch as one batch.
     """
     if stats is None:
         stats = SearchStats()
@@ -103,10 +103,9 @@ def propagation_loop(
             stats.propagator_calls += 1
             if not result.ok:
                 return PropagationResult(FAILED, bound=bound, visits=stats.node_visits - seen)
-            for var, value in result.fixed:
-                for scratch in all_scratches:
-                    stats.node_visits += scratch.apply_fix(var, value)
             if result.fixed:
+                for scratch in all_scratches:
+                    stats.node_visits += scratch.apply_fixes(result.fixed)
                 changed = True
                 all_fixed.extend(result.fixed)
         for index, constraint in enumerate(problem.constraints):

@@ -1,10 +1,12 @@
 """Problem file parsing, path enumeration, and problem assembly."""
 
 import itertools
+import random
 
 import pytest
 
 import scopdd as sc
+from scopdd.cli import random_model_text
 
 from conftest import dnf_truth
 
@@ -194,6 +196,49 @@ class TestPathEnumeration:
         for bits in itertools.product([False, True], repeat=len(model.vars)):
             assignment = dict(enumerate(bits))
             assert dd.eval_bool(assignment) == dnf_truth(cubes, assignment)
+
+    def test_chain_longer_than_recursion_limit(self):
+        n = 1200
+        lines = [f"node v{i}" for i in range(n + 1)]
+        lines += [f"edge v{i} v{i + 1} 0.9" for i in range(n)]
+        lines += [f"query v0 v{n}", "constraint >= 0"]
+        problem = sc.build_problem(sc.parse_network("\n".join(lines) + "\n"))
+        assert len(problem.constraints[0].terms[0].obdd.internal_nodes()) == 2 * n
+        strategy, _ = sc.solve_sat(problem)
+        assert strategy == {v: True for v in problem.vars.decision_ids()}
+
+    def test_cube_order_matches_recursive_walk(self):
+        def recursive_cubes(model, query):
+            edges = model.network.edges
+            cubes, visited, path = [], {query.source}, []
+
+            def walk(at):
+                if at == query.target:
+                    literals = []
+                    for edge in path:
+                        literals.append((model.decision_var[edge.key()], True))
+                        literals.append((model.stoch_var[edge.key()], True))
+                    cubes.append(sc.Cube(tuple(literals)))
+                    return
+                for edge in edges:
+                    if at not in (edge.u, edge.v):
+                        continue
+                    neighbor = edge.v if edge.u == at else edge.u
+                    if neighbor not in visited:
+                        visited.add(neighbor)
+                        path.append(edge)
+                        walk(neighbor)
+                        path.pop()
+                        visited.remove(neighbor)
+
+            walk(query.source)
+            return cubes
+
+        rng = random.Random(61)
+        for _ in range(60):
+            model = sc.parse_network(random_model_text(rng, rng.randint(1, 10)))
+            for query in model.queries:
+                assert sc.st_path_dnf(model, query) == recursive_cubes(model, query)
 
 
 class TestBuildProblem:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import scopdd as sc
+from scopdd.cli import random_model_text
 from scopdd.propagate import PropagationScratch, sweep_path_weights
 from scopdd.evaluate import sweep_values
 
@@ -228,8 +229,8 @@ class TestScratchIncremental:
         pi = sweep_path_weights(dd, domains)
         val = sweep_values(dd, domains)
         for node in dd.topo_order():
-            assert scratch.pi[node] == pytest.approx(pi[node], abs=1e-12)
-            assert scratch.val[node] == pytest.approx(val[node], abs=1e-12)
+            assert scratch.pi[node] == pi[node]
+            assert scratch.val[node] == val[node]
 
     def test_fix_false_deepest_decision(self, path_dd):
         domains, scratch = fresh_scratch(path_dd)
@@ -302,6 +303,79 @@ class TestScratchIncremental:
             assert fresh.status == incremental.status
             assert sorted(fresh.fixed) == sorted(incremental.fixed)
             assert incremental.bound == pytest.approx(fresh.bound, abs=1e-12)
+
+    def _differential_corpus(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            table, terms = random_instance(rng, max_dec=8, max_sto=8, n_terms=2)
+            yield table, [t.obdd for t in terms]
+        for _ in range(12):  # compiled networks, as in the opt-search family
+            problem = sc.build_problem(
+                sc.parse_network(random_model_text(rng, rng.randint(8, 10)))
+            )
+            yield problem.vars, [t.obdd for t in problem.constraints[0].terms]
+
+    def test_fix_batch_undo_bit_exact(self):
+        rng = random.Random(53)
+        for table, dds in self._differential_corpus():
+            domains = sc.DomainState(table)
+            scratches = [PropagationScratch(dd, domains) for dd in dds]
+            saved = []  # (domain mark, scratch marks, lists at the mark)
+            for _ in range(12):
+                free = domains.free_vars()
+                step = rng.random()
+                if saved and (step < 0.3 or not free):
+                    dmark, marks, lists = saved.pop()
+                    domains.undo_to(dmark)
+                    for scratch, mark, (pi, val) in zip(scratches, marks, lists):
+                        scratch.undo_to(mark)
+                        assert scratch.pi == pi and scratch.val == val
+                elif free:
+                    saved.append((domains.mark(), [s.mark() for s in scratches],
+                                  [(list(s.pi), list(s.val)) for s in scratches]))
+                    size = 1 if step < 0.6 else rng.randint(1, len(free))
+                    fixes = [(var, rng.random() < 0.3) for var in rng.sample(free, size)]
+                    for var, value in fixes:
+                        domains.fix(var, value)
+                    for scratch in scratches:
+                        if size == 1:
+                            scratch.apply_fix(*fixes[0])
+                        else:
+                            scratch.apply_fixes(fixes)
+                for dd, scratch in zip(dds, scratches):
+                    self._assert_matches_rebuild(dd, domains, scratch)
+
+    def test_batch_equals_fixes_one_at_a_time(self):
+        rng = random.Random(59)
+        for table, dds in self._differential_corpus():
+            dd = dds[0]
+            batched_domains = random_domains(rng, table, p_free=0.8)
+            single_domains = batched_domains.copy()
+            batched = PropagationScratch(dd, batched_domains)
+            single = PropagationScratch(dd, single_domains)
+            free = batched_domains.free_vars()
+            fixes = [(var, rng.random() < 0.3)
+                     for var in rng.sample(free, rng.randint(0, len(free)))]
+            for var, value in fixes:
+                batched_domains.fix(var, value)
+                single_domains.fix(var, value)
+                single.apply_fix(var, value)
+            batched.apply_fixes(fixes)
+            assert batched.pi == single.pi and batched.val == single.val
+
+    def test_unlabelled_false_fix_pushes_nothing(self):
+        table = sc.VariableTable()
+        used = table.add_decision("used")
+        unused = table.add_decision("unused")
+        t = table.add_stochastic("t", 0.5)
+        dd = sc.from_dnf(table, [sc.Cube.positive([used, t])])
+        domains, scratch = fresh_scratch(dd)
+        mark, visits = scratch.mark(), scratch.visits
+        domains.fix(unused, False)
+        assert scratch.apply_fix(unused, False) == 0
+        domains.fix(used, True)
+        assert scratch.apply_fixes([(used, True)]) == 0
+        assert scratch.mark() == mark and scratch.visits == visits
 
 
 class TestVisitAudit:

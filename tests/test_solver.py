@@ -325,6 +325,21 @@ class TestDeepSearch:
         assert value == pytest.approx(0.5, abs=1e-12)
         assert stats.incumbents == 1
 
+    def test_scratch_dc_visits_independent_of_unlabelled_variables(self):
+        visits = []
+        for leaves in (50, 1100):
+            problem = star_problem("constraint >= 0.4", leaves)
+            terms = problem.constraints[0].terms
+            domains = sc.DomainState(problem.vars)
+            scratches = [sc.PropagationScratch(t.obdd, domains) for t in terms]
+            plain = sc.dc_propagate(terms, domains.copy(), 0.4)
+            backed = sc.dc_propagate(terms, domains, 0.4, scratches=scratches)
+            assert backed.status == plain.status == sc.OK
+            assert backed.fixed == plain.fixed == [(problem.vars.index("d_hx0"), True)]
+            assert backed.bound == plain.bound
+            visits.append(backed.visits)
+        assert visits[0] == visits[1]
+
 
 class TestProblemValidation:
     def test_needs_constraint_or_objective(self, choice):
