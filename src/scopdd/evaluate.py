@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .obdd import DECISION, Obdd, VariableTable
+from .obdd import DECISION, Obdd, Row, VariableTable
 
 # decision-variable domains
 FALSE_ONLY = 0
@@ -118,38 +118,23 @@ def _check_compatible(dd: Obdd, domains: DomainState) -> None:
         raise ValueError("domain state was built over a different variable table")
 
 
-def sweep_values(
-    dd: Obdd,
-    domains: DomainState,
-    root: int | None = None,
-    override_var: int | None = None,
-    override_value: bool = False,
-) -> list[float]:
-    """One children-first pass of the node-value recurrence.
+def _value_pass(rows: list[Row], dom: list[int], val: list[float], end: int) -> None:
+    """The value loop over rows ``[0, end)``, in place; the values of the
+    terminals and of the rows from ``end`` on must already be in ``val``."""
+    for node, var, lo, hi, w in reversed(rows[:end]):
+        if w is None:
+            val[node] = val[lo] if dom[var] == FALSE_ONLY else val[hi]
+        else:
+            val[node] = w * val[hi] + (1.0 - w) * val[lo]
 
-    Returns a value array indexed by node id.  ``override_var`` pretends one
-    decision variable has the given value without touching the domain state;
-    the naive propagator leans on this.
-    """
-    if root is None:
-        root = dd.root
+
+def sweep_values(dd: Obdd, domains: DomainState, root: int | None = None) -> list[float]:
+    """One children-first pass of the node-value recurrence; free decision
+    variables count as true.  Returns a value array indexed by node id."""
+    rows = dd.rows(root)
     val = [0.0] * len(dd)
     val[1] = 1.0
-    dom = domains._dom
-    for node in reversed(dd.topo_order(root)):
-        if node < 2:
-            continue
-        var = dd.var_of(node)
-        info = dd.vars.info(var)
-        if info.kind == DECISION:
-            if var == override_var:
-                branch_true = override_value
-            else:
-                branch_true = dom[var] != FALSE_ONLY  # true or free
-            val[node] = val[dd.hi(node)] if branch_true else val[dd.lo(node)]
-        else:
-            w = info.prob
-            val[node] = w * val[dd.hi(node)] + (1.0 - w) * val[dd.lo(node)]
+    _value_pass(rows, domains._dom, val, len(rows))
     return val
 
 

@@ -8,6 +8,11 @@ separate registry whose insertion order fixes the global variable order, and
 every node's variable strictly precedes the variables of its internal
 children.
 
+``from_dnf`` and ``load_obdd`` build in a working store and return a
+compact copy holding only the nodes reachable from the root, so ``len(dd)``
+is the reachable node count plus the two terminals; the working store, with
+its apply memo, is dropped.  Every sweep runs over a diagram's ``rows``.
+
 The text exchange format is line oriented (``#`` starts a comment):
 
     var <name> decision
@@ -32,6 +37,10 @@ OR = "or"
 
 FALSE_NODE = 0
 TRUE_NODE = 1
+
+# (node, var, lo, hi, w): w is the probability of a stochastic node, None
+# for a decision node
+Row = tuple[int, int, int, int, float | None]
 
 
 @dataclass(frozen=True)
@@ -161,6 +170,7 @@ class Obdd:
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_memo: dict[tuple[str, int, int], int] = {}
         self._topo_cache: dict[int, tuple[int, ...]] = {}
+        self._rows_cache: dict[int, list[Row]] = {}
 
     # -- store access -------------------------------------------------
 
@@ -199,6 +209,10 @@ class Obdd:
             raise StructureError(
                 f"variable {self.vars.name(var)!r} does not precede its children"
             )
+        return self._make(var, lo, hi)
+
+    def _make(self, var: int, lo: int, hi: int) -> int:
+        """``mk_node`` without the checks, for ids this store made itself."""
         if lo == hi:
             return lo
         key = (var, lo, hi)
@@ -211,9 +225,6 @@ class Obdd:
         self._hi.append(hi)
         self._unique[key] = node
         return node
-
-    def _find(self, var: int, lo: int, hi: int) -> int | None:
-        return self._unique.get((var, lo, hi))
 
     def cube(self, cube: Cube) -> int:
         """Diagram of a single conjunction; monotone inputs only."""
@@ -236,36 +247,45 @@ class Obdd:
         return self._apply(op, a, b)
 
     def _apply(self, op: str, a: int, b: int) -> int:
-        if a == b:
-            return a
-        if op == OR:
-            if a == TRUE_NODE or b == TRUE_NODE:
-                return TRUE_NODE
-            if a == FALSE_NODE:
-                return b
-            if b == FALSE_NODE:
-                return a
-        else:
-            if a == FALSE_NODE or b == FALSE_NODE:
-                return FALSE_NODE
-            if a == TRUE_NODE:
-                return b
-            if b == TRUE_NODE:
-                return a
-        if a > b:
-            a, b = b, a
-        key = (op, a, b)
-        found = self._apply_memo.get(key)
-        if found is not None:
-            return found
-        var = min(self.level(a), self.level(b))
-        a_lo, a_hi = (self._lo[a], self._hi[a]) if self.level(a) == var else (a, a)
-        b_lo, b_hi = (self._lo[b], self._hi[b]) if self.level(b) == var else (b, b)
-        result = self.mk_node(
-            var, self._apply(op, a_lo, b_lo), self._apply(op, a_hi, b_hi)
-        )
-        self._apply_memo[key] = result
-        return result
+        """Apply on an explicit stack.  A task ``(None, a, b)`` asks for
+        (a op b); ``(var, a, b)`` makes its node from the lo and hi results
+        on top of ``done``.  Lo finishes before hi, so nodes are made in the
+        order of the recursive formulation."""
+        memo, var_of, lo_of, hi_of = self._apply_memo, self._var, self._lo, self._hi
+        absorbing, neutral = (TRUE_NODE, FALSE_NODE) if op == OR else (FALSE_NODE, TRUE_NODE)
+        tasks: list[tuple[int | None, int, int]] = [(None, a, b)]
+        done: list[int] = []
+        while tasks:
+            var, a, b = tasks.pop()
+            if var is not None:
+                hi = done.pop()
+                node = self._make(var, done.pop(), hi)
+                memo[(op, a, b)] = node
+                done.append(node)
+                continue
+            if a == b or b == neutral:
+                done.append(a)
+                continue
+            if a == absorbing or b == absorbing:
+                done.append(absorbing)
+                continue
+            if a == neutral:
+                done.append(b)
+                continue
+            if a > b:
+                a, b = b, a
+            found = memo.get((op, a, b))
+            if found is not None:
+                done.append(found)
+                continue
+            # both operands are internal here
+            var = min(var_of[a], var_of[b])
+            a_lo, a_hi = (lo_of[a], hi_of[a]) if var_of[a] == var else (a, a)
+            b_lo, b_hi = (lo_of[b], hi_of[b]) if var_of[b] == var else (b, b)
+            tasks.append((var, a, b))
+            tasks.append((None, a_hi, b_hi))
+            tasks.append((None, a_lo, b_lo))
+        return done[0]
 
     # -- traversal ----------------------------------------------------
 
@@ -281,6 +301,13 @@ class Obdd:
         if cached is not None:
             return cached
         self._check_node(root)
+        seen = self._reachable(root)
+        internal = sorted((n for n in seen if n >= 2), key=lambda n: (self._var[n], n))
+        order = tuple(internal) + tuple(t for t in (FALSE_NODE, TRUE_NODE) if t in seen)
+        self._topo_cache[root] = order
+        return order
+
+    def _reachable(self, root: int) -> set[int]:
         seen = {root}
         stack = [root]
         while stack:
@@ -291,13 +318,36 @@ class Obdd:
                 if child not in seen:
                     seen.add(child)
                     stack.append(child)
-        internal = sorted((n for n in seen if n >= 2), key=lambda n: (self._var[n], n))
-        order = tuple(internal) + tuple(t for t in (FALSE_NODE, TRUE_NODE) if t in seen)
-        self._topo_cache[root] = order
-        return order
+        return seen
 
     def internal_nodes(self, root: int | None = None) -> list[int]:
         return [n for n in self.topo_order(root) if n >= 2]
+
+    def rows(self, root: int | None = None) -> list[Row]:
+        """Reachable internal nodes as ``Row``s in ``topo_order``; built
+        once per root."""
+        if root is None:
+            root = self.root
+        rows = self._rows_cache.get(root)
+        if rows is None:
+            rows = self._rows_cache[root] = [
+                (node, self._var[node], self._lo[node], self._hi[node],
+                 self.vars.info(self._var[node]).prob)
+                for node in self.internal_nodes(root)
+            ]
+        return rows
+
+    def _compact(self, root: int) -> "Obdd":
+        """A new store holding only the nodes reachable from ``root``,
+        renumbered in ascending id order.  Children are older than their
+        parents, so ``topo_order`` and every sweep keep their order."""
+        dd = Obdd(self.vars)
+        new_id = {FALSE_NODE: FALSE_NODE, TRUE_NODE: TRUE_NODE}
+        for node in sorted(n for n in self._reachable(root) if n >= 2):
+            new_id[node] = dd._make(self._var[node], new_id[self._lo[node]],
+                                    new_id[self._hi[node]])
+        dd.root = new_id[root]
+        return dd
 
     def eval_bool(self, assignment: Mapping[int, bool], root: int | None = None) -> bool:
         """Truth value under a full assignment (walks one root-terminal path)."""
@@ -324,8 +374,7 @@ def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
             if not 0 <= var < len(variables):
                 raise StructureError(f"cube references unknown variable {var}")
         root = dd.apply(OR, root, dd.cube(cube))
-    dd.root = root
-    return dd
+    return dd._compact(root)
 
 
 def validate(dd: Obdd, root: int | None = None) -> None:
@@ -430,7 +479,7 @@ def load_obdd(text: str) -> Obdd:
                 raise ParseError(f"undefined node id {exc.args[0]}", lineno) from None
             if lo == hi:
                 raise ParseError("node is not reduced (lo == hi)", lineno)
-            if dd._find(var, lo, hi) is not None:
+            if (var, lo, hi) in dd._unique:
                 raise ParseError("duplicate node structure (var, lo, hi)", lineno)
             try:
                 id_map[file_id] = dd.mk_node(var, lo, hi)
@@ -454,8 +503,7 @@ def load_obdd(text: str) -> Obdd:
 
     if root is None:
         raise ParseError("missing root line")
-    dd.root = root
-    return dd
+    return dd._compact(root)
 
 
 def _canonical_ids(dd: Obdd, root: int | None = None) -> dict[int, int]:

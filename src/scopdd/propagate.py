@@ -6,13 +6,18 @@ propagators live here:
 
 * ``naive_propagate`` re-evaluates every diagram once per free variable
   (O(m*n) node visits) and serves as the oracle;
-* ``dc_propagate`` computes, in one top-down path-weight pass and one
+* ``dc_propagate`` reads, off one top-down path-weight pass and one
   bottom-up value pass per diagram, the drop in the optimistic bound caused
   by fixing any free variable to false, and prunes in O(m+n) visits;
 * ``PropagationScratch`` keeps both passes for a search: fixing a variable
   to true touches nothing, and each batch of false-fixes is repaired by one
   level-ordered sweep of path weights plus one sweep of the values at or
   above the deepest fixed level, bit-identical to a full recompute.
+
+Without scratches, ``dc_propagate`` builds one scratch per term and reads
+the drops off it exactly as a search does.  Every pass in the package is
+``sweep_path_weights`` or the value loop ``evaluate._value_pass``, over the
+diagram's ``rows``.
 
 The derivative identity behind ``dc_propagate``: for a free decision
 variable d, the optimistic bound drops by exactly
@@ -26,8 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .evaluate import BOTH, DomainState, FALSE_ONLY, _check_compatible, sweep_values
-from .obdd import DECISION, Obdd
+from .evaluate import (BOTH, FALSE_ONLY, DomainState, _check_compatible, _value_pass,
+                       sweep_values)
+from .obdd import Obdd
 
 # slack for threshold comparisons: F >= theta - EPS counts as satisfiable,
 # so boundary instances are not order dependent under float arithmetic
@@ -88,23 +94,18 @@ def sweep_path_weights(dd: Obdd, domains: DomainState, root: int | None = None) 
     pi = [0.0] * len(dd)
     pi[root] = 1.0
     dom = domains._dom
-    for node in dd.topo_order(root):
-        if node < 2:
-            continue
+    for node, var, lo, hi, w in dd.rows(root):
         p = pi[node]
         if p == 0.0:
             continue
-        var = dd.var_of(node)
-        info = dd.vars.info(var)
-        if info.kind == DECISION:
+        if w is None:
             if dom[var] != FALSE_ONLY:
-                pi[dd.hi(node)] += p
+                pi[hi] += p
             else:
-                pi[dd.lo(node)] += p
+                pi[lo] += p
         else:
-            w = info.prob
-            pi[dd.hi(node)] += w * p
-            pi[dd.lo(node)] += (1.0 - w) * p
+            pi[hi] += w * p
+            pi[lo] += (1.0 - w) * p
     return pi
 
 
@@ -165,63 +166,35 @@ def dc_propagate(
     threshold.  One pass is a fixpoint: fixing a variable to true changes
     neither F nor any other variable's drop.
 
-    When ``scratches`` (one per term, consistent with ``domains``) are
-    given, the two sweeps are skipped and drops are read off the scratch
-    arrays, for the free variables that label a node only: any other
-    variable's drop is zero, so it is never forced.
+    ``scratches`` (one per term, consistent with ``domains``) are the
+    search's warm state; without them one scratch per term is built, and
+    the call counts its two sweeps per term plus one visit per free
+    variable.  Drops are read only for the free variables that label a
+    node: any other variable's drop is zero, so it is never forced.
     """
     _check_terms(terms, domains)
+    fresh = scratches is None
+    if fresh:
+        scratches = [PropagationScratch(term.obdd, domains) for term in terms]
+    elif len(scratches) != len(terms):
+        raise ValueError("need one scratch per term")
+    dom = domains._dom
     visits = 0
     bound = 0.0
-
-    if scratches is None:
-        free = domains.free_vars()
-        drop = dict.fromkeys(free, 0.0)
-        for term in terms:
-            dd = term.obdd
-            order = dd.topo_order()
-            internal = [n for n in order if n >= 2]
-            pi = sweep_path_weights(dd, domains) if free else None
-            visits += len(internal) if free else 0
-            # bottom-up value pass with the drop accumulation folded in
-            val = [0.0] * len(dd)
-            val[1] = 1.0
-            dom = domains._dom
-            for node in reversed(order):
-                if node < 2:
-                    continue
-                var = dd.var_of(node)
-                info = dd.vars.info(var)
-                lo, hi = dd.lo(node), dd.hi(node)
-                if info.kind == DECISION:
-                    if dom[var] == FALSE_ONLY:
-                        val[node] = val[lo]
-                    else:
-                        val[node] = val[hi]
-                        if dom[var] == BOTH:
-                            drop[var] += term.reward * pi[node] * (val[hi] - val[lo])
-                else:
-                    w = info.prob
-                    val[node] = w * val[hi] + (1.0 - w) * val[lo]
-            visits += len(internal)
-            bound += term.reward * val[dd.root]
-        visits += len(free)
-    else:
-        if len(scratches) != len(terms):
-            raise ValueError("need one scratch per term")
-        dom = domains._dom
-        drop = {}
-        for term, scratch in zip(terms, scratches):
-            bound += term.reward * scratch.root_value()
-            pi, val, dd = scratch.pi, scratch.val, scratch.dd
-            for var, nodes in scratch.var_nodes.items():
-                if dom[var] != BOTH:
-                    continue
-                total = drop.get(var, 0.0)
-                for node in nodes:
-                    total += term.reward * pi[node] * (val[dd.hi(node)] - val[dd.lo(node)])
-                drop[var] = total
-                visits += len(nodes)
+    drop = {}
+    for term, scratch in zip(terms, scratches):
+        bound += term.reward * scratch.root_value()
+        pi, val, dd = scratch.pi, scratch.val, scratch.dd
+        for var, nodes in scratch.var_nodes.items():
+            if dom[var] != BOTH:
+                continue
+            total = drop.get(var, 0.0)
+            for node in nodes:
+                total += term.reward * pi[node] * (val[dd.hi(node)] - val[dd.lo(node)])
+            drop[var] = total
+            visits += len(nodes)
+    if fresh:  # two sweeps per term plus one visit per free variable
+        visits = sum(s.visits for s in scratches) + len(domains.free_vars())
 
     if bound < theta - eps:
         return PropagationResult(FAILED, bound=bound, visits=visits)
@@ -254,13 +227,13 @@ def naive_propagate(
         return PropagationResult(FAILED, bound=bound, visits=visits)
     fixed = []
     for var in domains.free_vars():
+        mark = domains.mark()
+        domains.fix(var, False)
         score = 0.0
         for term in terms:
-            dd = term.obdd
-            score += term.reward * sweep_values(
-                dd, domains, override_var=var, override_value=False
-            )[dd.root]
-            visits += len(dd.internal_nodes())
+            score += term.reward * sweep_values(term.obdd, domains)[term.obdd.root]
+            visits += len(term.obdd.internal_nodes())
+        domains.undo_to(mark)
         if score < theta - eps:
             domains.fix(var, True)
             fixed.append((var, True))
@@ -270,14 +243,11 @@ def naive_propagate(
 class PropagationScratch:
     """Reusable per-diagram propagation state: path weights and values.
 
-    Owned by a single search worker.  The reachable internal nodes are kept
-    as flat rows ``(node, var, lo, hi, w)`` in level order, with ``w`` the
-    probability of a stochastic node and None for a decision node.  Every
-    pass is a linear sweep over those rows with the arithmetic of
-    ``sweep_path_weights`` / ``sweep_values``, so ``pi`` and ``val`` are
-    always bit-identical to a full recompute.  A repair replaces both lists
-    and pushes the old pair on a trail, so ``undo_to`` restores a search
-    state by swapping lists back.
+    Owned by a single search worker.  Every pass is one of the package's
+    two sweep loops over the diagram's level-ordered ``rows``, so ``pi`` and
+    ``val`` are always bit-identical to a full recompute.  A repair replaces
+    both lists and pushes the old pair on a trail, so ``undo_to`` restores a
+    search state by swapping lists back.
     """
 
     def __init__(self, dd: Obdd, domains: DomainState):
@@ -287,75 +257,26 @@ class PropagationScratch:
         self.root = dd.root
         self.visits = 0
         self._trail: list[tuple[list[float], list[float]]] = []
-        self.rows: list[tuple[int, int, int, int, float | None]] = []
+        self.rows = dd.rows()
         # decision variable -> the diagram nodes it labels
         self.var_nodes: dict[int, list[int]] = {}
         # decision variable -> one past the last row at its level (0: no nodes)
         self._end = [0] * len(dd.vars)
-        for node in dd.topo_order():
-            if node < 2:
-                continue
-            var = dd.var_of(node)
-            info = dd.vars.info(var)
-            if info.kind == DECISION:
+        for end, (node, var, _, _, w) in enumerate(self.rows, start=1):
+            if w is None:
                 self.var_nodes.setdefault(var, []).append(node)
-                self._end[var] = len(self.rows) + 1
-            self.rows.append((node, var, dd.lo(node), dd.hi(node),
-                              None if info.kind == DECISION else info.prob))
+                self._end[var] = end
         self.rebuild()
 
     def rebuild(self) -> None:
         """Full two-pass recompute under the current domains; clears the trail."""
-        self.pi = self._path_weights()
-        self.val = [0.0] * len(self.dd)
-        self.val[1] = 1.0
-        self._values(self.val, len(self.rows))
+        self.pi = sweep_path_weights(self.dd, self.domains)
+        self.val = sweep_values(self.dd, self.domains)
         self.visits += 2 * len(self.rows)
         self._trail.clear()
 
-    def _path_weights(self) -> list[float]:
-        """Top-down pass over all rows into a fresh list."""
-        dom = self.domains._dom
-        pi = [0.0] * len(self.dd)
-        pi[self.root] = 1.0
-        for node, var, lo, hi, w in self.rows:
-            p = pi[node]
-            if p == 0.0:
-                continue
-            if w is None:
-                if dom[var] != FALSE_ONLY:
-                    pi[hi] += p
-                else:
-                    pi[lo] += p
-            else:
-                pi[hi] += w * p
-                pi[lo] += (1.0 - w) * p
-        return pi
-
-    def _values(self, val: list[float], end: int) -> None:
-        """Bottom-up pass over rows ``[0, end)``, in place; the values of
-        rows from ``end`` on must already be current."""
-        dom = self.domains._dom
-        for node, var, lo, hi, w in reversed(self.rows[:end]):
-            if w is None:
-                val[node] = val[lo] if dom[var] == FALSE_ONLY else val[hi]
-            else:
-                val[node] = w * val[hi] + (1.0 - w) * val[lo]
-
     def root_value(self) -> float:
         return self.val[self.root]
-
-    def derivative(self, var: int) -> float:
-        """Drop of the root value if the (free) variable goes false."""
-        dd = self.dd
-        total = 0.0
-        for node in self.var_nodes.get(var, ()):
-            total += self.pi[node] * (self.val[dd.hi(node)] - self.val[dd.lo(node)])
-            self.visits += 1
-        return total
-
-    def derivatives(self) -> dict[int, float]:
-        return {var: self.derivative(var) for var in self.domains.free_vars()}
 
     # -- repair after fixes -----------------------------------------------
 
@@ -373,9 +294,9 @@ class PropagationScratch:
         if not end:
             return 0
         self._trail.append((self.pi, self.val))
-        self.pi = self._path_weights()
+        self.pi = sweep_path_weights(self.dd, self.domains)
         self.val = list(self.val)
-        self._values(self.val, end)
+        _value_pass(self.rows, self.domains._dom, self.val, end)
         touched = len(self.rows) + end
         self.visits += touched
         return touched

@@ -207,6 +207,17 @@ class TestPathEnumeration:
         strategy, _ = sc.solve_sat(problem)
         assert strategy == {v: True for v in problem.vars.decision_ids()}
 
+    def test_cycle_apply_deeper_than_recursion_limit(self):
+        # two 500-edge routes: OR-ing their cubes descends 2,000 levels in apply
+        n = 1000
+        lines = [f"node v{i}" for i in range(n)]
+        lines += [f"edge v{i} v{(i + 1) % n} 0.9" for i in range(n)]
+        lines += ["query v0 v500", "constraint >= 0.0"]
+        problem = sc.build_problem(sc.parse_network("\n".join(lines) + "\n"))
+        assert len(problem.constraints[0].terms[0].obdd.internal_nodes()) == 2 * n
+        strategy, _ = sc.solve_sat(problem)
+        assert strategy is not None
+
     def test_cube_order_matches_recursive_walk(self):
         def recursive_cubes(model, query):
             edges = model.network.edges

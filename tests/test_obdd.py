@@ -7,8 +7,9 @@ import pytest
 
 import scopdd as sc
 from scopdd import AND, OR
+from scopdd.cli import random_model_text
 
-from conftest import PATH_ORDER, dnf_truth, make_table, random_cubes
+from conftest import DATA, PATH_ORDER, dnf_truth, make_table, random_cubes
 
 
 def small_table():
@@ -160,6 +161,43 @@ class TestFromDnf:
         assert root == dd.root
         assert len(dd.internal_nodes()) == 12
         sc.validate(dd)
+
+
+class TestCompactStore:
+    """Compiled and loaded stores hold exactly the nodes reachable from the
+    root, and compaction changes no structure: a raw store that ORs the same
+    cubes with ``apply`` dumps to the same text."""
+
+    def _check_against_raw(self, model, query):
+        cubes = sc.st_path_dnf(model, query)
+        dd = sc.from_dnf(model.vars, cubes)
+        assert len(dd) == len(dd.internal_nodes()) + 2
+        raw = sc.Obdd(model.vars)
+        root = 0
+        for cube in cubes:
+            root = raw.apply(OR, root, raw.cube(cube))
+        assert sc.dump_obdd(dd) == sc.dump_obdd(raw, root)
+
+    def test_compiled_store_is_reachable_part(self, net_model, ordered_model):
+        for model in (net_model, ordered_model):
+            for query in model.queries:
+                self._check_against_raw(model, query)
+        rng = random.Random(61)
+        for _ in range(25):
+            model = sc.parse_network(random_model_text(rng, rng.randint(5, 11)))
+            for query in model.queries:
+                self._check_against_raw(model, query)
+
+    def test_path_fixture_is_compact(self, path_dd):
+        assert len(path_dd) == len(path_dd.internal_nodes()) + 2 == 14
+
+    def test_load_drops_unreachable_node(self):
+        text = (DATA / "forced_choice.obdd").read_text()
+        extra = text.replace("root 7", "node 8 x 3 1  # reached from no root\nroot 7")
+        assert extra != text
+        dd = sc.load_obdd(extra)
+        assert len(dd) == len(dd.internal_nodes()) + 2 == 8
+        assert sc.dump_obdd(dd) == sc.dump_obdd(sc.load_obdd(text))
 
 
 class TestTopoOrder:
