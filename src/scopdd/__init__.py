@@ -45,6 +45,7 @@ from .propagate import (
     compute_derivatives,
     compute_path_weights,
     compute_values,
+    constraint_scratch,
     dc_propagate,
     incremental_fix,
     naive_propagate,
@@ -123,6 +124,7 @@ __all__ = [
     "compute_derivatives",
     "compute_path_weights",
     "compute_values",
+    "constraint_scratch",
     "dc_propagate",
     "decompose",
     "dump_dot",

@@ -12,23 +12,14 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .baseline import bounds_propagate, decompose
 from .errors import ScopddError
-from .evaluate import DomainState, evaluate
+from .evaluate import DomainState
 from .model_io import build_problem, parse_network, with_order
 from .obdd import dump_dot, dump_obdd, load_obdd
-from .propagate import (
-    ConstraintTerm,
-    PropagationScratch,
-    compute_derivatives,
-    compute_path_weights,
-    compute_values,
-    dc_propagate,
-    naive_propagate,
-)
+from .propagate import ConstraintTerm, constraint_scratch, dc_propagate, naive_propagate
 from .solver import solve_opt, solve_sat, strategy_value
 
 EXIT_OK = 0
@@ -77,7 +68,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--size", default="5,10,20",
                    help="comma-separated decision-variable counts")
     p.add_argument("--count", type=int, default=5, help="instances per size")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--no-timing", action="store_true",
                    help="omit the wall-time column (byte-identical reruns)")
     p.set_defaults(func=cmd_bench)
@@ -174,12 +164,7 @@ def cmd_propagate(args) -> int:
 
     # per-variable bound drops under the initial domains
     drops = dict.fromkeys(initial.free_vars(), 0.0)
-    for term in terms:
-        dd = term.obdd
-        pw = compute_path_weights(dd, initial)
-        values = compute_values(dd, initial)
-        for var, d in compute_derivatives(dd, pw, values, initial).items():
-            drops[var] += term.reward * d
+    drops.update(constraint_scratch(terms, initial).drops())
 
     dc_domains = initial.copy()
     dc_result = dc_propagate(terms, dc_domains, args.theta)
@@ -313,18 +298,16 @@ def random_model_text(rng: random.Random, n_edges: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def bench_instance(params: tuple[int, int, int]) -> list[dict]:
+def bench_instance(seed: int, n_edges: int, index: int) -> list[dict]:
     """Rows comparing the four propagators on one random instance."""
-    seed, n_edges, index = params
     rng = random.Random(f"{seed}:{n_edges}:{index}")
     model = parse_network(random_model_text(rng, n_edges))
     problem = build_problem(model)
     terms = problem.constraints[0].terms
     table = model.vars
-    optimistic = sum(
-        t.reward * evaluate(t.obdd, DomainState(table)) for t in terms
-    )
-    theta = rng.uniform(0.3, 0.9) * optimistic
+    domains = DomainState(table)
+    scratch = constraint_scratch(terms, domains)
+    theta = rng.uniform(0.3, 0.9) * scratch.root_value()
     obdd_nodes = sum(len(t.obdd.internal_nodes()) for t in terms)
     name = f"s{seed}-n{n_edges}-i{index}"
     rows = []
@@ -350,17 +333,14 @@ def bench_instance(params: tuple[int, int, int]) -> list[dict]:
     res = dc_propagate(terms, DomainState(table), theta)
     row("derivative", len(res.fixed), res.visits, time.perf_counter() - start)
 
-    domains = DomainState(table)
-    scratches = [PropagationScratch(t.obdd, domains) for t in terms]
     free = domains.free_vars()
     start = time.perf_counter()
-    before = sum(s.visits for s in scratches)
+    before = scratch.visits
     if free:
         domains.fix(free[0], False)
-        for s in scratches:
-            s.apply_fix(free[0], False)
-    res = dc_propagate(terms, domains, theta, scratches=scratches)
-    incr_visits = res.visits + sum(s.visits for s in scratches) - before
+        scratch.apply_fix(free[0], False)
+    res = dc_propagate(terms, domains, theta, scratch=scratch)
+    incr_visits = res.visits + scratch.visits - before
     row("incremental", len(res.fixed), incr_visits, time.perf_counter() - start)
 
     start = time.perf_counter()
@@ -374,12 +354,7 @@ def cmd_bench(args) -> int:
         sizes = [int(tok) for tok in args.size.split(",") if tok]
     except ValueError:
         raise ScopddError(f"bad --size {args.size!r}") from None
-    jobs = [(args.seed, n, i) for n in sizes for i in range(args.count)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(bench_instance, jobs))
-    else:
-        results = [bench_instance(params) for params in jobs]
+    results = [bench_instance(args.seed, n, i) for n in sizes for i in range(args.count)]
     fields = ["instance", "propagator", "decision_vars", "obdd_nodes", "fixed", "visits"]
     if not args.no_timing:
         fields.append("wall_s")

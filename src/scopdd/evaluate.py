@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .obdd import DECISION, Obdd, Row, VariableTable
+from .obdd import DECISION, Obdd, Roots, Row, VariableTable
 
 # decision-variable domains
 FALSE_ONLY = 0
@@ -128,9 +128,9 @@ def _value_pass(rows: list[Row], dom: list[int], val: list[float], end: int) -> 
             val[node] = w * val[hi] + (1.0 - w) * val[lo]
 
 
-def sweep_values(dd: Obdd, domains: DomainState, root: int | None = None) -> list[float]:
-    """One children-first pass of the node-value recurrence; free decision
-    variables count as true.  Returns a value array indexed by node id."""
+def sweep_values(dd: Obdd, domains: DomainState, root: Roots = None) -> list[float]:
+    """One children-first pass of the node-value recurrence below the root
+    or roots; free decisions count as true.  Returns an array by node id."""
     rows = dd.rows(root)
     val = [0.0] * len(dd)
     val[1] = 1.0

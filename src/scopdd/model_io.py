@@ -293,10 +293,10 @@ def st_path_dnf(
     return cubes
 
 
-def build_problem(model: ParsedModel, cap: int = DEFAULT_PATH_CAP) -> Problem:
+def build_problem(model: ParsedModel) -> Problem:
     """Compile every query and assemble the instance."""
     terms = [
-        ConstraintTerm(from_dnf(model.vars, st_path_dnf(model, query, cap)), query.reward)
+        ConstraintTerm(from_dnf(model.vars, st_path_dnf(model, query)), query.reward)
         for query in model.queries
     ]
     if model.maximize:

@@ -11,7 +11,8 @@ children.
 ``from_dnf`` and ``load_obdd`` build in a working store and return a
 compact copy holding only the nodes reachable from the root, so ``len(dd)``
 is the reachable node count plus the two terminals; the working store, with
-its apply memo, is dropped.  Every sweep runs over a diagram's ``rows``.
+its apply memo, is dropped.  Every sweep runs over a diagram's ``rows``,
+which may start at several roots of one store.
 
 The text exchange format is line oriented (``#`` starts a comment):
 
@@ -41,6 +42,8 @@ TRUE_NODE = 1
 # (node, var, lo, hi, w): w is the probability of a stochastic node, None
 # for a decision node
 Row = tuple[int, int, int, int, float | None]
+# one root id or several; None means the diagram's own root
+Roots = int | Iterable[int] | None
 
 
 @dataclass(frozen=True)
@@ -169,16 +172,12 @@ class Obdd:
         self._hi: list[int] = [-1, -1]
         self._unique: dict[tuple[int, int, int], int] = {}
         self._apply_memo: dict[tuple[str, int, int], int] = {}
-        self._topo_cache: dict[int, tuple[int, ...]] = {}
-        self._rows_cache: dict[int, list[Row]] = {}
+        self._rows_cache: dict[tuple[int, ...], list[Row]] = {}
 
     # -- store access -------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._var)
-
-    def is_terminal(self, node: int) -> bool:
-        return node < 2
 
     def var_of(self, node: int) -> int:
         return self._var[node]
@@ -227,15 +226,18 @@ class Obdd:
         return node
 
     def cube(self, cube: Cube) -> int:
-        """Diagram of a single conjunction; monotone inputs only."""
+        """Diagram of a single conjunction; monotone inputs only.  ``Cube``'s
+        literals are sorted and repeat-free, so the order holds."""
         node = TRUE_NODE
         for var, polarity in reversed(cube.literals):
+            if not 0 <= var < len(self.vars):
+                raise StructureError(f"cube references unknown variable {var}")
             if not polarity:
                 raise StructureError(
                     f"negative literal on {self.vars.name(var)!r}: "
                     "only monotone formulas are accepted"
                 )
-            node = self.mk_node(var, FALSE_NODE, node)
+            node = self._make(var, FALSE_NODE, node)
         return node
 
     def apply(self, op: str, a: int, b: int) -> int:
@@ -295,21 +297,14 @@ class Obdd:
         Deterministic for a fixed diagram: internal nodes are sorted by
         (level, id).  Reverse the result to get a children-first order.
         """
-        if root is None:
-            root = self.root
-        cached = self._topo_cache.get(root)
-        if cached is not None:
-            return cached
-        self._check_node(root)
-        seen = self._reachable(root)
-        internal = sorted((n for n in seen if n >= 2), key=lambda n: (self._var[n], n))
-        order = tuple(internal) + tuple(t for t in (FALSE_NODE, TRUE_NODE) if t in seen)
-        self._topo_cache[root] = order
-        return order
+        rows = self.rows(root)
+        if not rows:  # a terminal root; an internal one reaches both terminals
+            return (self.root if root is None else root,)
+        return tuple(row[0] for row in rows) + (FALSE_NODE, TRUE_NODE)
 
-    def _reachable(self, root: int) -> set[int]:
-        seen = {root}
-        stack = [root]
+    def _reachable(self, roots: Iterable[int]) -> set[int]:
+        seen = set(roots)
+        stack = list(seen)
         while stack:
             node = stack.pop()
             if node < 2:
@@ -321,32 +316,43 @@ class Obdd:
         return seen
 
     def internal_nodes(self, root: int | None = None) -> list[int]:
-        return [n for n in self.topo_order(root) if n >= 2]
+        return [row[0] for row in self.rows(root)]
 
-    def rows(self, root: int | None = None) -> list[Row]:
-        """Reachable internal nodes as ``Row``s in ``topo_order``; built
-        once per root."""
+    def rows(self, root: Roots = None) -> list[Row]:
+        """Internal nodes reachable from the root or roots, as ``Row``s
+        sorted by (level, id); built once per set of roots."""
         if root is None:
             root = self.root
-        rows = self._rows_cache.get(root)
+        roots = (root,) if isinstance(root, int) else tuple(sorted(set(root)))
+        rows = self._rows_cache.get(roots)
         if rows is None:
-            rows = self._rows_cache[root] = [
+            for node in roots:
+                self._check_node(node)
+            internal = sorted((n for n in self._reachable(roots) if n >= 2),
+                              key=lambda n: (self._var[n], n))
+            rows = self._rows_cache[roots] = [
                 (node, self._var[node], self._lo[node], self._hi[node],
                  self.vars.info(self._var[node]).prob)
-                for node in self.internal_nodes(root)
+                for node in internal
             ]
         return rows
+
+    def _copy(self, source: "Obdd", root: int) -> int:
+        """Copy the nodes of ``source`` (same variable table) reachable from
+        ``root`` into this store in ascending id order; returns the copy of
+        ``root``.  Hash-consing merges each with an equal node already here."""
+        new_id = {FALSE_NODE: FALSE_NODE, TRUE_NODE: TRUE_NODE}
+        for node in sorted(n for n in source._reachable((root,)) if n >= 2):
+            new_id[node] = self._make(source._var[node], new_id[source._lo[node]],
+                                      new_id[source._hi[node]])
+        return new_id[root]
 
     def _compact(self, root: int) -> "Obdd":
         """A new store holding only the nodes reachable from ``root``,
         renumbered in ascending id order.  Children are older than their
         parents, so ``topo_order`` and every sweep keep their order."""
         dd = Obdd(self.vars)
-        new_id = {FALSE_NODE: FALSE_NODE, TRUE_NODE: TRUE_NODE}
-        for node in sorted(n for n in self._reachable(root) if n >= 2):
-            new_id[node] = dd._make(self._var[node], new_id[self._lo[node]],
-                                    new_id[self._hi[node]])
-        dd.root = new_id[root]
+        dd.root = dd._copy(self, root)
         return dd
 
     def eval_bool(self, assignment: Mapping[int, bool], root: int | None = None) -> bool:
@@ -370,9 +376,6 @@ def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
     dd = Obdd(variables)
     root = FALSE_NODE
     for cube in cubes:
-        for var, _ in cube.literals:
-            if not 0 <= var < len(variables):
-                raise StructureError(f"cube references unknown variable {var}")
         root = dd.apply(OR, root, dd.cube(cube))
     return dd._compact(root)
 

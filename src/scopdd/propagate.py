@@ -7,17 +7,19 @@ propagators live here:
 * ``naive_propagate`` re-evaluates every diagram once per free variable
   (O(m*n) node visits) and serves as the oracle;
 * ``dc_propagate`` reads, off one top-down path-weight pass and one
-  bottom-up value pass per diagram, the drop in the optimistic bound caused
-  by fixing any free variable to false, and prunes in O(m+n) visits;
+  bottom-up value pass per constraint, the drop in the optimistic bound
+  caused by fixing any free variable to false, and prunes in O(m+n) visits;
 * ``PropagationScratch`` keeps both passes for a search: fixing a variable
   to true touches nothing, and each batch of false-fixes is repaired by one
   level-ordered sweep of path weights plus one sweep of the values at or
   above the deepest fixed level, bit-identical to a full recompute.
 
-Without scratches, ``dc_propagate`` builds one scratch per term and reads
-the drops off it exactly as a search does.  Every pass in the package is
-``sweep_path_weights`` or the value loop ``evaluate._value_pass``, over the
-diagram's ``rows``.
+A constraint has one scratch: ``constraint_scratch`` puts its terms'
+diagrams in one store and seeds each term's root with its reward.  Node
+values do not depend on the root and path weights are linear in the seeds,
+so ``root_value()`` is the bound and ``drops()`` the reward-weighted drops.
+Without a scratch, ``dc_propagate`` builds one.  Every pass in the package
+is ``sweep_path_weights`` or the value loop ``evaluate._value_pass``.
 
 The derivative identity behind ``dc_propagate``: for a free decision
 variable d, the optimistic bound drops by exactly
@@ -82,19 +84,23 @@ def _check_terms(terms, domains: DomainState) -> None:
         _check_compatible(term.obdd, domains)
 
 
-def sweep_path_weights(dd: Obdd, domains: DomainState, root: int | None = None) -> list[float]:
+def sweep_path_weights(dd: Obdd, domains: DomainState,
+                       seeds: list[tuple[int, float]] | None = None) -> list[float]:
     """Top-down pass: weight of all valid root-to-node paths, per node.
 
+    ``seeds`` are (root, weight) pairs, by default the diagram's root with
+    weight 1; a path counts with the weight of the root it starts at.
     Valid paths take the hi arc out of true and free decision nodes, the lo
     arc out of false ones, and both arcs (probability-weighted) out of
     stochastic nodes.  Returns an array indexed by node id.
     """
-    if root is None:
-        root = dd.root
+    if seeds is None:
+        seeds = [(dd.root, 1.0)]
     pi = [0.0] * len(dd)
-    pi[root] = 1.0
+    for root, weight in seeds:
+        pi[root] += weight
     dom = domains._dom
-    for node, var, lo, hi, w in dd.rows(root):
+    for node, var, lo, hi, w in dd.rows(root for root, _ in seeds):
         p = pi[node]
         if p == 0.0:
             continue
@@ -114,7 +120,7 @@ def compute_path_weights(dd: Obdd, domains: DomainState, root: int | None = None
     _check_compatible(dd, domains)
     if root is None:
         root = dd.root
-    pi = sweep_path_weights(dd, domains, root)
+    pi = sweep_path_weights(dd, domains, [(root, 1.0)])
     return {node: pi[node] for node in dd.topo_order(root)}
 
 
@@ -150,13 +156,29 @@ def compute_derivatives(
     return deltas
 
 
+def constraint_scratch(terms: list[ConstraintTerm], domains: DomainState) -> "PropagationScratch":
+    """One scratch for all terms of a threshold constraint, each term's
+    root seeded with its reward.  Terms that share one diagram use it as is;
+    otherwise each term's reachable nodes are copied into one fresh store,
+    where equal sub-diagrams become one node."""
+    _check_terms(terms, domains)
+    dd = terms[0].obdd
+    if all(term.obdd is dd for term in terms):
+        roots = [dd.root] * len(terms)
+    else:
+        dd = Obdd(dd.vars)
+        roots = [dd._copy(term.obdd, term.obdd.root) for term in terms]
+    return PropagationScratch(dd, domains,
+                              [(root, term.reward) for root, term in zip(roots, terms)])
+
+
 def dc_propagate(
     terms: list[ConstraintTerm],
     domains: DomainState,
     theta: float,
     *,
     eps: float = THRESHOLD_EPS,
-    scratches: list["PropagationScratch"] | None = None,
+    scratch: "PropagationScratch | None" = None,
 ) -> PropagationResult:
     """Enforce domain consistency on the threshold constraint.
 
@@ -166,35 +188,23 @@ def dc_propagate(
     threshold.  One pass is a fixpoint: fixing a variable to true changes
     neither F nor any other variable's drop.
 
-    ``scratches`` (one per term, consistent with ``domains``) are the
-    search's warm state; without them one scratch per term is built, and
-    the call counts its two sweeps per term plus one visit per free
-    variable.  Drops are read only for the free variables that label a
-    node: any other variable's drop is zero, so it is never forced.
+    ``scratch`` (the terms' ``constraint_scratch``, consistent with
+    ``domains``) is the search's warm state, and the call counts the nodes
+    it reads drops from.  Without it one is built, and the call counts its
+    two sweeps plus one visit per free variable.  Drops are read only for
+    the free variables that label a node: any other variable's drop is
+    zero, so it is never forced.
     """
     _check_terms(terms, domains)
-    fresh = scratches is None
+    fresh = scratch is None
     if fresh:
-        scratches = [PropagationScratch(term.obdd, domains) for term in terms]
-    elif len(scratches) != len(terms):
-        raise ValueError("need one scratch per term")
-    dom = domains._dom
-    visits = 0
-    bound = 0.0
-    drop = {}
-    for term, scratch in zip(terms, scratches):
-        bound += term.reward * scratch.root_value()
-        pi, val, dd = scratch.pi, scratch.val, scratch.dd
-        for var, nodes in scratch.var_nodes.items():
-            if dom[var] != BOTH:
-                continue
-            total = drop.get(var, 0.0)
-            for node in nodes:
-                total += term.reward * pi[node] * (val[dd.hi(node)] - val[dd.lo(node)])
-            drop[var] = total
-            visits += len(nodes)
-    if fresh:  # two sweeps per term plus one visit per free variable
-        visits = sum(s.visits for s in scratches) + len(domains.free_vars())
+        scratch = constraint_scratch(terms, domains)
+    bound = scratch.root_value()
+    drop = scratch.drops()
+    if fresh:
+        visits = scratch.visits + len(domains.free_vars())
+    else:
+        visits = sum(len(scratch.var_nodes[var]) for var in drop)
 
     if bound < theta - eps:
         return PropagationResult(FAILED, bound=bound, visits=visits)
@@ -241,42 +251,55 @@ def naive_propagate(
 
 
 class PropagationScratch:
-    """Reusable per-diagram propagation state: path weights and values.
+    """Reusable propagation state over one store: path weights and values.
 
+    ``seeds`` are (root, weight) pairs, by default the diagram's root with
+    weight 1; ``root_value()`` and ``drops()`` are sums weighted by them.
     Owned by a single search worker.  Every pass is one of the package's
-    two sweep loops over the diagram's level-ordered ``rows``, so ``pi`` and
+    two sweep loops over the store's level-ordered ``rows``, so ``pi`` and
     ``val`` are always bit-identical to a full recompute.  A repair replaces
     both lists and pushes the old pair on a trail, so ``undo_to`` restores a
     search state by swapping lists back.
     """
 
-    def __init__(self, dd: Obdd, domains: DomainState):
+    def __init__(self, dd: Obdd, domains: DomainState,
+                 seeds: list[tuple[int, float]] | None = None):
         _check_compatible(dd, domains)
         self.dd = dd
         self.domains = domains
-        self.root = dd.root
-        self.visits = 0
+        self.seeds = [(dd.root, 1.0)] if seeds is None else list(seeds)
         self._trail: list[tuple[list[float], list[float]]] = []
-        self.rows = dd.rows()
-        # decision variable -> the diagram nodes it labels
-        self.var_nodes: dict[int, list[int]] = {}
+        roots = [root for root, _ in self.seeds]
+        self.rows = dd.rows(roots)
+        # decision variable -> (node, lo, hi) of each node it labels
+        self.var_nodes: dict[int, list[tuple[int, int, int]]] = {}
         # decision variable -> one past the last row at its level (0: no nodes)
         self._end = [0] * len(dd.vars)
-        for end, (node, var, _, _, w) in enumerate(self.rows, start=1):
+        for end, (node, var, lo, hi, w) in enumerate(self.rows, start=1):
             if w is None:
-                self.var_nodes.setdefault(var, []).append(node)
+                self.var_nodes.setdefault(var, []).append((node, lo, hi))
                 self._end[var] = end
-        self.rebuild()
-
-    def rebuild(self) -> None:
-        """Full two-pass recompute under the current domains; clears the trail."""
-        self.pi = sweep_path_weights(self.dd, self.domains)
-        self.val = sweep_values(self.dd, self.domains)
-        self.visits += 2 * len(self.rows)
-        self._trail.clear()
+        self.pi = sweep_path_weights(dd, domains, self.seeds)
+        self.val = sweep_values(dd, domains, roots)
+        self.visits = 2 * len(self.rows)
 
     def root_value(self) -> float:
-        return self.val[self.root]
+        """Weighted sum of the root values: the optimistic bound."""
+        return sum(weight * self.val[root] for root, weight in self.seeds)
+
+    def drops(self) -> dict[int, float]:
+        """Drop of ``root_value()`` were a free variable fixed to false, for
+        each free variable that labels a node: the sum over its nodes of
+        path weight times (value of hi - value of lo)."""
+        dom, pi, val = self.domains._dom, self.pi, self.val
+        drop = {}
+        for var, nodes in self.var_nodes.items():
+            if dom[var] == BOTH:
+                total = 0.0
+                for node, lo, hi in nodes:
+                    total += pi[node] * (val[hi] - val[lo])
+                drop[var] = total
+        return drop
 
     # -- repair after fixes -----------------------------------------------
 
@@ -294,7 +317,7 @@ class PropagationScratch:
         if not end:
             return 0
         self._trail.append((self.pi, self.val))
-        self.pi = sweep_path_weights(self.dd, self.domains)
+        self.pi = sweep_path_weights(self.dd, self.domains, self.seeds)
         self.val = list(self.val)
         _value_pass(self.rows, self.domains._dom, self.val, end)
         touched = len(self.rows) + end

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from .evaluate import TRUE_ONLY, DomainState, evaluate
 from .obdd import VariableTable
 from .propagate import (ConstraintTerm, FAILED, OK, PropagationResult, PropagationScratch,
-                        THRESHOLD_EPS, dc_propagate)
+                        THRESHOLD_EPS, constraint_scratch, dc_propagate)
 
 
 @dataclass
@@ -82,17 +82,17 @@ def cardinality_propagate(domains: DomainState, bound: int) -> PropagationResult
 def propagation_loop(
     domains: DomainState,
     problem: Problem,
-    scratches: list[list[PropagationScratch]] | None = None,
+    scratches: list[PropagationScratch] | None = None,
     stats: SearchStats | None = None,
 ) -> PropagationResult:
     """Run cardinality then every threshold constraint, round-robin, until a
-    joint fixpoint or failure.  ``scratches`` (one list per constraint)
-    switches the threshold propagator to its incremental form; the
-    false-fixes of one cardinality call repair every scratch as one batch.
+    joint fixpoint or failure.  ``scratches`` (one ``constraint_scratch``
+    per constraint) switches the threshold propagator to its incremental
+    form; the false-fixes of one cardinality call repair every scratch as
+    one batch.
     """
     if stats is None:
         stats = SearchStats()
-    all_scratches = [s for group in scratches for s in group] if scratches else []
     all_fixed: list[tuple[int, bool]] = []
     seen = stats.node_visits  # this call's visits are node_visits - seen
     bound = None
@@ -104,13 +104,13 @@ def propagation_loop(
             if not result.ok:
                 return PropagationResult(FAILED, bound=bound, visits=stats.node_visits - seen)
             if result.fixed:
-                for scratch in all_scratches:
+                for scratch in scratches or ():
                     stats.node_visits += scratch.apply_fixes(result.fixed)
                 changed = True
                 all_fixed.extend(result.fixed)
         for index, constraint in enumerate(problem.constraints):
             result = dc_propagate(constraint.terms, domains, constraint.theta, eps=constraint.eps,
-                                  scratches=scratches[index] if scratches else None)
+                                  scratch=scratches[index] if scratches else None)
             stats.propagator_calls += 1
             stats.node_visits += result.visits
             if not result.ok:
@@ -145,12 +145,8 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
         goal = Constraint(objective, 0.0, eps=0.0)
         problem = Problem(problem.vars, problem.constraints + [goal], problem.cardinality)
     domains = DomainState(problem.vars)
-    scratches = [
-        [PropagationScratch(term.obdd, domains) for term in constraint.terms]
-        for constraint in problem.constraints
-    ]
-    flat = [s for group in scratches for s in group]
-    stats.node_visits += sum(s.visits for s in flat)  # initial full rebuilds
+    scratches = [constraint_scratch(c.terms, domains) for c in problem.constraints]
+    stats.node_visits += sum(s.visits for s in scratches)  # initial full rebuilds
     order = problem.vars.decision_ids()
     best, best_value = None, None
 
@@ -164,15 +160,15 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
             while pos < len(order) and not domains.is_free(order[pos]):
                 pos += 1
             if pos < len(order):
-                stack.append([pos, domains.mark(), [s.mark() for s in flat], 0, stats.incumbents])
+                stack.append([pos, domains.mark(), [s.mark() for s in scratches], 0,
+                              stats.incumbents])
             elif goal is None:
                 best = domains.as_strategy()
                 break
             else:
-                strategy = domains.as_strategy()
-                value = strategy_value(objective, problem.vars, strategy)
+                value = scratches[-1].root_value()  # the goal's, exact on a full strategy
                 if best_value is None or value > best_value:
-                    best, best_value = strategy, value
+                    best, best_value = domains.as_strategy(), value
                     stats.incumbents += 1
                     goal.theta = value + delta
         # undo the top frame's live branch; drop frames with no branch left
@@ -180,7 +176,7 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
             pos, domain_mark, scratch_marks, taken, seen = frame = stack[-1]
             if taken:
                 domains.undo_to(domain_mark)
-                for scratch, mark in zip(flat, scratch_marks):
+                for scratch, mark in zip(scratches, scratch_marks):
                     scratch.undo_to(mark)
                 stats.backtracks += 1
             if taken < 2:
@@ -201,7 +197,7 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
         if domains.is_free(var):  # else propagation just forced it false
             domains.fix(var, branch)
             if not branch:
-                for scratch in flat:
+                for scratch in scratches:
                     stats.node_visits += scratch.apply_fix(var, False)
             ok = propagation_loop(domains, problem, scratches, stats).ok
     stats.wall_time += time.perf_counter() - start

@@ -289,17 +289,16 @@ class TestScratchIncremental:
         for _ in range(80):
             table, terms = random_instance(rng, max_dec=6, max_sto=6)
             domains = sc.DomainState(table)
-            scratches = [PropagationScratch(t.obdd, domains) for t in terms]
+            scratch = sc.constraint_scratch(terms, domains)
             for var in table.decision_ids():
                 if rng.random() < 0.4:
                     value = rng.random() < 0.5
                     domains.fix(var, value)
-                    for s in scratches:
-                        s.apply_fix(var, value)
+                    scratch.apply_fix(var, value)
             _, scores = score_table(table, terms, domains)
             theta = pick_theta(rng, scores)
             fresh = sc.dc_propagate(terms, domains.copy(), theta)
-            incremental = sc.dc_propagate(terms, domains, theta, scratches=scratches)
+            incremental = sc.dc_propagate(terms, domains, theta, scratch=scratch)
             assert fresh.status == incremental.status
             assert sorted(fresh.fixed) == sorted(incremental.fixed)
             assert incremental.bound == pytest.approx(fresh.bound, abs=1e-12)
@@ -319,7 +318,10 @@ class TestScratchIncremental:
         rng = random.Random(53)
         for table, dds in self._differential_corpus():
             domains = sc.DomainState(table)
+            terms = [sc.ConstraintTerm(dd, reward) for dd, reward in zip(dds, (1.0, 2.5))]
+            # one scratch per diagram, then the constraint's merged scratch
             scratches = [PropagationScratch(dd, domains) for dd in dds]
+            scratches.append(sc.constraint_scratch(terms, domains))
             saved = []  # (domain mark, scratch marks, lists at the mark)
             for _ in range(12):
                 free = domains.free_vars()
@@ -344,6 +346,8 @@ class TestScratchIncremental:
                             scratch.apply_fixes(fixes)
                 for dd, scratch in zip(dds, scratches):
                     self._assert_matches_rebuild(dd, domains, scratch)
+                fresh = sc.constraint_scratch(terms, domains)
+                assert scratches[-1].pi == fresh.pi and scratches[-1].val == fresh.val
 
     def test_batch_equals_fixes_one_at_a_time(self):
         rng = random.Random(59)
@@ -376,6 +380,53 @@ class TestScratchIncremental:
         domains.fix(used, True)
         assert scratch.apply_fixes([(used, True)]) == 0
         assert scratch.mark() == mark and scratch.visits == visits
+
+
+class TestConstraintScratch:
+    def _corpus(self):
+        rng = random.Random(61)
+        for _ in range(60):
+            table, terms = random_instance(rng, max_dec=6, max_sto=6, n_terms=2)
+            yield table, terms, random_domains(rng, table)
+        for _ in range(20):  # two terms over one diagram
+            table, (term,) = random_instance(rng, max_dec=6, max_sto=6)
+            yield table, [term, sc.ConstraintTerm(term.obdd, 2.5)], random_domains(rng, table)
+        found = 0
+        while found < 20:  # compiled two-query networks
+            problem = sc.build_problem(
+                sc.parse_network(random_model_text(rng, rng.randint(5, 9)))
+            )
+            terms = problem.constraints[0].terms
+            if len(terms) == 2:
+                found += 1
+                yield problem.vars, terms, random_domains(rng, problem.vars)
+
+    def test_matches_per_term_reference(self):
+        for _, terms, domains in self._corpus():
+            scratch = sc.constraint_scratch(terms, domains)
+            assert scratch.root_value() == sum(
+                t.reward * sc.evaluate(t.obdd, domains) for t in terms
+            )
+            expected = dict.fromkeys(domains.free_vars(), 0.0)
+            for t in terms:
+                deltas = sc.compute_derivatives(
+                    t.obdd,
+                    sc.compute_path_weights(t.obdd, domains),
+                    sc.compute_values(t.obdd, domains),
+                    domains,
+                )
+                for var, delta in deltas.items():
+                    expected[var] += t.reward * delta
+            drops = scratch.drops()
+            assert set(drops) <= set(expected)
+            for var, delta in expected.items():
+                assert drops.get(var, 0.0) == pytest.approx(delta, abs=1e-12)
+            assert len(scratch.dd) <= sum(len(t.obdd) for t in terms)
+            if terms[0].obdd is terms[1].obdd:
+                assert scratch.dd is terms[0].obdd
+            for (root, reward), t in zip(scratch.seeds, terms, strict=True):
+                assert reward == t.reward
+                assert sc.dump_obdd(scratch.dd, root) == sc.dump_obdd(t.obdd)
 
 
 class TestVisitAudit:

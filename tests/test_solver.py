@@ -6,6 +6,7 @@ import random
 import pytest
 
 import scopdd as sc
+from scopdd.cli import random_model_text
 
 from conftest import all_strategies, make_table, pick_theta, random_cubes, score_table
 
@@ -311,6 +312,44 @@ class TestSolveOpt:
             sc.solve_opt(sc.build_problem(net_model), delta=delta)
 
 
+class TestCompiledTwoQueryOracle:
+    """Path diagrams whose two queries share sub-diagrams, so each
+    constraint's scratch is a merged store."""
+
+    def _problems(self):
+        rng = random.Random(97)
+        found = 0
+        while found < 30:
+            model = sc.parse_network(random_model_text(rng, rng.randint(5, 8)))
+            if len(model.queries) != 2:
+                continue
+            found += 1
+            model.cardinality = rng.randint(1, 4)
+            yield rng, sc.build_problem(model)
+
+    def test_opt_values_match_brute_force(self):
+        for _, problem in self._problems():
+            terms = problem.constraints[0].terms
+            opt = sc.Problem(problem.vars, [], problem.cardinality, objective=terms)
+            strategy, value, _ = sc.solve_opt(opt)
+            assert value == pytest.approx(brute_opt(opt), abs=1e-9)
+            assert sum(strategy.values()) <= problem.cardinality
+
+    def test_sat_verdicts_match_brute_force(self):
+        verdicts = set()
+        for rng, problem in self._problems():
+            constraint = problem.constraints[0]
+            _, scores = score_table(problem.vars, constraint.terms,
+                                    sc.DomainState(problem.vars))
+            constraint.theta = pick_theta(rng, {
+                bits: v for bits, v in scores.items() if sum(bits) <= problem.cardinality
+            })
+            strategy, _ = sc.solve_sat(problem)
+            assert (strategy is None) == (brute_sat(problem) is None)
+            verdicts.add(strategy is None)
+        assert verdicts == {True, False}
+
+
 class TestDeepSearch:
     def test_sat_deeper_than_recursion_limit(self):
         problem = star_problem("constraint >= 0.4")
@@ -331,9 +370,9 @@ class TestDeepSearch:
             problem = star_problem("constraint >= 0.4", leaves)
             terms = problem.constraints[0].terms
             domains = sc.DomainState(problem.vars)
-            scratches = [sc.PropagationScratch(t.obdd, domains) for t in terms]
+            scratch = sc.constraint_scratch(terms, domains)
             plain = sc.dc_propagate(terms, domains.copy(), 0.4)
-            backed = sc.dc_propagate(terms, domains, 0.4, scratches=scratches)
+            backed = sc.dc_propagate(terms, domains, 0.4, scratch=scratch)
             assert backed.status == plain.status == sc.OK
             assert backed.fixed == plain.fixed == [(problem.vars.index("d_hx0"), True)]
             assert backed.bound == plain.bound
