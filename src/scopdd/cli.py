@@ -86,6 +86,17 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def _goal_terms(problem):
+    """The objective's terms, or else the first constraint's."""
+    return problem.objective if problem.objective else problem.constraints[0].terms
+
+
+def _check_theta(theta, terms):
+    max_reward = sum(t.reward for t in terms)
+    if not 0.0 <= theta <= max_reward:
+        raise ScopddError(f"theta must lie in [0, {max_reward:g}]")
+
+
 # -- compile -----------------------------------------------------------
 
 
@@ -94,7 +105,7 @@ def cmd_compile(args) -> int:
     if args.order_file:
         model = with_order(model, Path(args.order_file).read_text().split())
     problem = build_problem(model)
-    terms = problem.objective if problem.objective else problem.constraints[0].terms
+    terms = _goal_terms(problem)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     used = set()
@@ -156,9 +167,7 @@ def _parse_fixes(fix_args, table):
 def cmd_propagate(args) -> int:
     terms = _load_terms(args.obdd, args.rewards)
     table = terms[0].obdd.vars
-    max_reward = sum(t.reward for t in terms)
-    if not 0.0 <= args.theta <= max_reward:
-        raise ScopddError(f"theta must lie in [0, {max_reward:g}]")
+    _check_theta(args.theta, terms)
     fixed = _parse_fixes(args.fix, table)
     initial = DomainState(table, fixed=fixed)
 
@@ -217,13 +226,11 @@ def cmd_solve(args) -> int:
         if args.cardinality < 0:
             raise ScopddError("cardinality bound must be nonnegative")
         problem.cardinality = args.cardinality
-    goal_terms = problem.objective if problem.objective else problem.constraints[0].terms
+    goal_terms = _goal_terms(problem)
     if args.theta is not None:
         if problem.objective is not None:
             raise ScopddError("--theta only applies to constraint-mode problems")
-        max_reward = sum(t.reward for t in goal_terms)
-        if not 0.0 <= args.theta <= max_reward:
-            raise ScopddError(f"theta must lie in [0, {max_reward:g}]")
+        _check_theta(args.theta, goal_terms)
         problem.constraints[0].theta = args.theta
 
     if problem.objective is not None:

@@ -13,18 +13,19 @@ The problem file format is line oriented (``#`` starts a comment):
 Each edge (u, v) contributes a stochastic variable ``t_uv`` carrying the
 edge probability and a decision variable ``d_uv`` that selects the edge.
 By default they are registered interleaved, t before d, in edge declaration
-order; an ``order`` line overrides this.  A query s -> t compiles into one
-cube per simple path between the endpoints: the conjunction of d_e and t_e
-over the path's edges, edges usable in either direction.
+order; an ``order`` line naming each of them once overrides this.  A query
+s -> t compiles into one cube per simple path between the endpoints: the
+conjunction of d_e and t_e over the path's edges, edges usable in either
+direction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import CapacityError, ParseError
-from .obdd import Cube, VariableTable, from_dnf
+from .obdd import DECISION, STOCHASTIC, Cube, VariableTable, _content_lines, from_dnf
 from .propagate import ConstraintTerm
 from .solver import Constraint, Problem
 
@@ -78,40 +79,13 @@ def edge_var_names(u: str, v: str) -> tuple[str, str]:
     return f"t_{u}{v}", f"d_{u}{v}"
 
 
-def _register_variables(network, order, lineno_of_order):
-    declared: list[tuple[str, str, float | None]] = []
-    for edge in network.edges:
-        t_name, d_name = edge_var_names(edge.u, edge.v)
-        declared.append((t_name, "stochastic", edge.prob))
-        declared.append((d_name, "decision", None))
-    names = [name for name, _, _ in declared]
-    if len(set(names)) != len(names):
-        raise ParseError(
-            "edge variable names collide; rename the network nodes", lineno_of_order
-        )
-    if order is not None:
-        if sorted(order) != sorted(names):
-            raise ParseError(
-                "order line must mention every edge variable exactly once",
-                lineno_of_order,
-            )
-        by_name = {name: (kind, prob) for name, kind, prob in declared}
-        declared = [(name, *by_name[name]) for name in order]
-    table = VariableTable()
-    for name, kind, prob in declared:
-        if kind == "stochastic":
-            table.add_stochastic(name, prob)
-        else:
-            table.add_decision(name)
-    return table
-
-
 def parse_network(text: str) -> ParsedModel:
     """Parse a problem file; raises ParseError with a line number on bad input."""
     nodes: list[str] = []  # declaration order, for format_model
     node_set: set[str] = set()
     edges: list[Edge] = []
     edge_keys: set[frozenset] = set()
+    joined: set[str] = set()  # u + v of every edge, the stem of its variable names
     queries: list[Query] = []
     cardinality: int | None = None
     maximize = False
@@ -120,11 +94,7 @@ def parse_network(text: str) -> ParsedModel:
     order_line = None
     goal_seen = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for lineno, tokens in _content_lines(text):
         keyword = tokens[0]
         if keyword == "node":
             if len(tokens) != 2:
@@ -149,10 +119,15 @@ def parse_network(text: str) -> ParsedModel:
             if not 0.0 <= prob <= 1.0:
                 raise ParseError(f"probability outside [0, 1]: {prob}", lineno)
             edge = Edge(u, v, prob)
-            if edge.key() in edge_keys:
+            key = edge.key()
+            if key in edge_keys:
                 raise ParseError(f"duplicate edge {u!r}-{v!r}", lineno)
+            if u + v in joined:  # e.g. edges a-bc and ab-c both make t_abc
+                raise ParseError("edge variable names collide; rename the network nodes",
+                                 lineno)
             edges.append(edge)
-            edge_keys.add(edge.key())
+            edge_keys.add(key)
+            joined.add(u + v)
         elif keyword == "query":
             if len(tokens) not in (3, 5) or (len(tokens) == 5 and tokens[3] != "reward"):
                 raise ParseError("expected 'query <s> <t> [reward <r>]'", lineno)
@@ -214,35 +189,35 @@ def parse_network(text: str) -> ParsedModel:
     if not queries:
         raise ParseError("no query declared")
 
-    network = ProbNetwork(nodes, edges)
-    table = _register_variables(network, order, order_line)
-    model = ParsedModel(
-        network, table, queries, cardinality, maximize, theta, order
-    )
-    for edge in network.edges:
-        t_name, d_name = edge_var_names(edge.u, edge.v)
-        model.stoch_var[edge.key()] = table.index(t_name)
-        model.decision_var[edge.key()] = table.index(d_name)
-    return model
+    model = ParsedModel(ProbNetwork(nodes, edges), VariableTable(), queries,
+                        cardinality, maximize, theta, order)
+    return _with_edge_variables(model, order_line)
 
 
 def with_order(model: ParsedModel, order: list[str]) -> ParsedModel:
     """Copy of the model with its variables re-registered in the given order."""
-    table = _register_variables(model.network, list(order), None)
-    clone = ParsedModel(
-        model.network,
-        table,
-        model.queries,
-        model.cardinality,
-        model.maximize,
-        model.theta,
-        list(order),
-    )
+    return _with_edge_variables(replace(model, order=list(order)))
+
+
+def _with_edge_variables(model: ParsedModel, order_line: int | None = None) -> ParsedModel:
+    """Register the model's edge variables, in its order if it has one, and
+    map each edge to them; returns the model."""
+    declared: list[tuple[str, str, float | None]] = []
     for edge in model.network.edges:
         t_name, d_name = edge_var_names(edge.u, edge.v)
-        clone.stoch_var[edge.key()] = table.index(t_name)
-        clone.decision_var[edge.key()] = table.index(d_name)
-    return clone
+        declared.append((t_name, STOCHASTIC, edge.prob))
+        declared.append((d_name, DECISION, None))
+    try:
+        table = model.vars = VariableTable(declared, model.order, noun="edge")
+    except ValueError as exc:
+        raise ParseError(str(exc), order_line) from None
+    model.stoch_var, model.decision_var = {}, {}
+    for edge in model.network.edges:
+        t_name, d_name = edge_var_names(edge.u, edge.v)
+        key = edge.key()
+        model.stoch_var[key] = table.index(t_name)
+        model.decision_var[key] = table.index(d_name)
+    return model
 
 
 def st_path_dnf(

@@ -25,8 +25,9 @@ The text exchange format is line oriented (``#`` starts a comment):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, StructureError
 
@@ -63,9 +64,22 @@ class VariableTable:
     the root of every diagram built over this table.
     """
 
-    def __init__(self):
+    def __init__(self, declared: Sequence[tuple[str, str, float | None]] = (),
+                 order: Sequence[str] | None = None, *, noun: str = "declared"):
+        """Register ``(name, kind, prob)`` declarations, in declaration order
+        or in ``order``, which must name every declared variable exactly
+        once; ``noun`` says what the variables are in that error."""
         self._infos: list[VarInfo] = []
         self._by_name: dict[str, int] = {}
+        if order is not None:
+            by_name = {decl[0]: decl for decl in declared}
+            if len(order) != len(declared) or by_name.keys() != set(order):
+                raise ValueError(
+                    f"order line must mention every {noun} variable exactly once"
+                )
+            declared = [by_name[name] for name in order]
+        for name, kind, prob in declared:
+            self._add(name, kind, prob)
 
     def _add(self, name: str, kind: str, prob: float | None) -> int:
         if name in self._by_name:
@@ -406,43 +420,16 @@ def _content_lines(text: str):
 
 def load_obdd(text: str) -> Obdd:
     """Parse the exchange format; see the module docstring for the grammar."""
-    decls: list[tuple[str, str, float | None]] = []
+    decls: dict[str, tuple[str, str, float | None]] = {}  # by name
     order_names: list[str] | None = None
-    table: VariableTable | None = None
-    dd: Obdd | None = None
-    id_map: dict[int, int] = {FALSE_NODE: FALSE_NODE, TRUE_NODE: TRUE_NODE}
-    root: int | None = None
-
-    def build_table(lineno: int) -> None:
-        nonlocal table, dd
-        if table is not None:
-            return
-        table = VariableTable()
-        names = [name for name, _, _ in decls]
-        if order_names is not None:
-            if sorted(order_names) != sorted(names):
-                raise ParseError(
-                    "order line must mention every declared variable exactly once",
-                    lineno,
-                )
-            by_name = {name: (kind, prob) for name, kind, prob in decls}
-            ordered = [(name, *by_name[name]) for name in order_names]
-        else:
-            ordered = decls
-        for name, kind, prob in ordered:
-            try:
-                table._add(name, kind, prob)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-        dd = Obdd(table)
-
-    for lineno, tokens in _content_lines(text):
+    order_line = None
+    lines = _content_lines(text)
+    body = []  # the first line past the header, if any
+    for lineno, tokens in lines:
         keyword = tokens[0]
         if keyword == "var":
-            if table is not None:
-                raise ParseError("var declaration after node lines", lineno)
             if len(tokens) == 3 and tokens[2] == DECISION:
-                decls.append((tokens[1], DECISION, None))
+                prob = None
             elif len(tokens) == 4 and tokens[2] == STOCHASTIC:
                 try:
                     prob = float(tokens[3])
@@ -450,21 +437,31 @@ def load_obdd(text: str) -> Obdd:
                     raise ParseError(f"bad probability {tokens[3]!r}", lineno) from None
                 if not 0.0 <= prob <= 1.0:
                     raise ParseError(f"probability outside [0, 1]: {prob}", lineno)
-                decls.append((tokens[1], STOCHASTIC, prob))
             else:
                 raise ParseError("expected 'var <name> decision|stochastic <p>'", lineno)
-            if any(name == tokens[1] for name, _, _ in decls[:-1]):
+            if tokens[1] in decls:
                 raise ParseError(f"duplicate variable {tokens[1]!r}", lineno)
+            decls[tokens[1]] = (tokens[1], tokens[2], prob)
         elif keyword == "order":
-            if table is not None:
-                raise ParseError("order line after node lines", lineno)
             if order_names is not None:
                 raise ParseError("duplicate order line", lineno)
-            order_names = tokens[1:]
-        elif keyword == "node":
+            order_names, order_line = tokens[1:], lineno
+        else:
+            body = [(lineno, tokens)]
+            break
+    try:
+        table = VariableTable(list(decls.values()), order_names)
+    except ValueError as exc:
+        raise ParseError(str(exc), order_line) from None
+    dd = Obdd(table)
+    id_map: dict[int, int] = {FALSE_NODE: FALSE_NODE, TRUE_NODE: TRUE_NODE}
+    root: int | None = None
+
+    for lineno, tokens in itertools.chain(body, lines):
+        keyword = tokens[0]
+        if keyword == "node":
             if len(tokens) != 5:
                 raise ParseError("expected 'node <id> <varname> <lo> <hi>'", lineno)
-            build_table(lineno)
             try:
                 file_id, lo_id, hi_id = int(tokens[1]), int(tokens[3]), int(tokens[4])
             except ValueError:
@@ -493,7 +490,6 @@ def load_obdd(text: str) -> Obdd:
                 raise ParseError("expected 'root <id>'", lineno)
             if root is not None:
                 raise ParseError("duplicate root line", lineno)
-            build_table(lineno)
             try:
                 root_id = int(tokens[1])
             except ValueError:
@@ -501,6 +497,10 @@ def load_obdd(text: str) -> Obdd:
             if root_id not in id_map:
                 raise ParseError(f"undefined node id {root_id}", lineno)
             root = id_map[root_id]
+        elif keyword == "var":
+            raise ParseError("var declaration after node lines", lineno)
+        elif keyword == "order":
+            raise ParseError("order line after node lines", lineno)
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno)
 

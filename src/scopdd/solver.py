@@ -85,11 +85,16 @@ def propagation_loop(
     scratches: list[PropagationScratch] | None = None,
     stats: SearchStats | None = None,
 ) -> PropagationResult:
-    """Run cardinality then every threshold constraint, round-robin, until a
+    """Run cardinality then every threshold constraint, in rounds, to a
     joint fixpoint or failure.  ``scratches`` (one ``constraint_scratch``
     per constraint) switches the threshold propagator to its incremental
     form; the false-fixes of one cardinality call repair every scratch as
     one batch.
+
+    Threshold propagators only fix variables to true, and a true-fix moves
+    no bound and no drop, so after one round every threshold constraint is
+    at its fixpoint.  Only the cardinality bound can react to the round's
+    true-fixes, and only once they reach it; then another round runs.
     """
     if stats is None:
         stats = SearchStats()
@@ -97,7 +102,6 @@ def propagation_loop(
     seen = stats.node_visits  # this call's visits are node_visits - seen
     bound = None
     while True:
-        changed = False
         if problem.cardinality is not None:
             result = cardinality_propagate(domains, problem.cardinality)
             stats.propagator_calls += 1
@@ -106,8 +110,8 @@ def propagation_loop(
             if result.fixed:
                 for scratch in scratches or ():
                     stats.node_visits += scratch.apply_fixes(result.fixed)
-                changed = True
                 all_fixed.extend(result.fixed)
+        forced_true = False
         for index, constraint in enumerate(problem.constraints):
             result = dc_propagate(constraint.terms, domains, constraint.theta, eps=constraint.eps,
                                   scratch=scratches[index] if scratches else None)
@@ -119,9 +123,10 @@ def propagation_loop(
                 )
             bound = result.bound
             if result.fixed:
-                changed = True
+                forced_true = True
                 all_fixed.extend(result.fixed)
-        if not changed:
+        if not (forced_true and problem.cardinality is not None
+                and domains.true_count() >= problem.cardinality):
             return PropagationResult(
                 OK, fixed=all_fixed, bound=bound, visits=stats.node_visits - seen
             )

@@ -126,6 +126,51 @@ class TestParseNetwork:
         with pytest.raises(sc.ParseError, match="every edge variable"):
             sc.parse_network(text)
 
+    @pytest.mark.parametrize("order", ["t_ab t_ab", "t_ab d_ab d_ab", "d_ab t_ab t_ba"])
+    def test_order_must_name_each_variable_once(self, order):
+        text = (
+            "node a\nnode b\nedge a b 0.5\nquery a b\nobjective maximize\n"
+            f"order {order}\n"
+        )
+        with pytest.raises(sc.ParseError, match="line 6: order line must mention every edge"):
+            sc.parse_network(text)
+        model = sc.parse_network(text.rsplit("order", 1)[0])
+        with pytest.raises(sc.ParseError, match="every edge variable exactly once"):
+            sc.with_order(model, order.split())
+
+    def test_edge_name_collision_names_its_line(self):
+        # edges a-bc and ab-c would both make t_abc
+        text = (
+            "node a\nnode bc\nnode ab\nnode c\n"
+            "edge a bc 0.5\nedge ab c 0.5\nquery a c\nobjective maximize\n"
+        )
+        with pytest.raises(sc.ParseError, match="line 6: edge variable names collide"):
+            sc.parse_network(text)
+
+    def test_order_rule_agrees_across_formats(self):
+        rng = random.Random(47)
+        for _ in range(25):
+            text = random_model_text(rng, rng.randint(1, 8))
+            model = sc.parse_network(text)
+            order = [i.name for i in model.vars]
+            rng.shuffle(order)
+            order_line = "order " + " ".join(order)
+            ordered = sc.with_order(model, order)
+            parsed = sc.parse_network(text + order_line + "\n")
+            assert ordered == parsed
+            assert (ordered.stoch_var, ordered.decision_var) == (
+                parsed.stoch_var, parsed.decision_var)
+            # a diagram file declaring its variables in edge order, with the
+            # same order line, registers them in the same sequence
+            query = ordered.queries[0]
+            dump = sc.dump_obdd(sc.from_dnf(ordered.vars, sc.st_path_dnf(ordered, query)))
+            var_lines = sc.dump_obdd(sc.from_dnf(model.vars, [])).splitlines()[:-1]
+            body = [line for line in dump.splitlines() if not line.startswith("var ")]
+            dd = sc.load_obdd("\n".join(var_lines + [order_line] + body) + "\n")
+            assert [i.name for i in dd.vars] == order
+            assert dd.vars == ordered.vars
+            assert sc.dump_obdd(dd) == dump
+
 
 class TestPathEnumeration:
     def test_three_route_event(self, net_model):

@@ -286,6 +286,22 @@ class TestExchangeFormat:
         dd = sc.load_obdd(text)
         assert [i.name for i in dd.vars] == ["b", "a"]
 
+    def test_bad_order_line_named_at_its_line(self):
+        text = "var a decision\nvar b decision\norder a\nnode 2 a 0 1\nroot 2\n"
+        with pytest.raises(sc.ParseError, match="line 3: order line must mention every"):
+            sc.load_obdd(text)
+
+    @pytest.mark.parametrize("order", ["a", "a a", "a b b", "a c", "b a c"])
+    def test_order_must_name_each_variable_once(self, order):
+        text = f"var a decision\nvar b stochastic 0.5\norder {order}\nroot 0\n"
+        with pytest.raises(sc.ParseError, match="every declared variable exactly once"):
+            sc.load_obdd(text)
+
+    def test_duplicate_var_line(self):
+        text = "var a decision\nvar b decision\nvar a stochastic 0.5\nroot 0\n"
+        with pytest.raises(sc.ParseError, match="line 3: duplicate variable 'a'"):
+            sc.load_obdd(text)
+
     def test_missing_root(self):
         with pytest.raises(sc.ParseError, match="root"):
             sc.load_obdd("var a decision\nnode 2 a 0 1\n")

@@ -8,7 +8,8 @@ import pytest
 import scopdd as sc
 from scopdd.cli import random_model_text
 
-from conftest import all_strategies, make_table, pick_theta, random_cubes, score_table
+from conftest import (all_strategies, make_table, pick_theta, random_cubes, random_domains,
+                      score_table)
 
 
 def feasible_strategies(problem):
@@ -124,7 +125,80 @@ class TestCardinalityPropagate:
         assert sc.cardinality_propagate(domains, 0).status == sc.FAILED
 
 
+def rerun_until_unchanged(domains, problem):
+    """The propagation loop before the one-round rule: every propagator runs
+    again after any round that changed a domain.  Returns (status, fixes)."""
+    fixed = []
+    while True:
+        changed = False
+        if problem.cardinality is not None:
+            result = sc.cardinality_propagate(domains, problem.cardinality)
+            if not result.ok:
+                return sc.FAILED, fixed
+            changed |= bool(result.fixed)
+            fixed += result.fixed
+        for constraint in problem.constraints:
+            result = sc.dc_propagate(constraint.terms, domains, constraint.theta,
+                                     eps=constraint.eps)
+            if not result.ok:
+                return sc.FAILED, fixed
+            changed |= bool(result.fixed)
+            fixed += result.fixed
+        if not changed:
+            return sc.OK, fixed
+
+
+def loop_corpus():
+    """The seed-83 ``random_problem`` corpus, objectives recast as threshold
+    constraints, then compiled networks under a cardinality bound."""
+    rng = random.Random(83)
+    for _ in range(120):
+        problem, maximize = random_problem(rng)
+        if maximize:
+            top = sum(t.reward for t in problem.objective)
+            problem = sc.Problem(problem.vars, [sc.Constraint(problem.objective,
+                                                              rng.uniform(0, top))],
+                                 problem.cardinality)
+        yield rng, problem
+    for _ in range(40):
+        problem = sc.build_problem(sc.parse_network(random_model_text(rng, rng.randint(3, 8))))
+        problem.cardinality = rng.randint(0, len(problem.vars.decision_ids()))
+        problem.constraints[0].theta = rng.uniform(0, 0.8 * len(problem.constraints[0].terms))
+        yield rng, problem
+
+
 class TestPropagationLoop:
+    def test_one_round_matches_rerun_until_unchanged(self):
+        reacted = 0  # runs where the bound answered true-fixes in a second round
+        for rng, problem in loop_corpus():
+            for _ in range(3):
+                start = random_domains(rng, problem.vars, p_free=0.8)
+                expected = start.copy()
+                status, fixes = rerun_until_unchanged(expected, problem)
+                for warm in (False, True):
+                    domains = start.copy()
+                    scratches = ([sc.constraint_scratch(c.terms, domains)
+                                  for c in problem.constraints] if warm else None)
+                    result = sc.propagation_loop(domains, problem, scratches)
+                    assert result.status == status
+                    if result.ok:
+                        assert result.fixed == fixes
+                    assert repr(domains) == repr(expected)
+                values = [value for _, value in fixes]
+                # threshold fixes are true-fixes, so a false-fix after one
+                # came from the bound
+                reacted += status == sc.OK and True in values and values[-1] is False
+        assert reacted > 10
+
+    def test_one_round_without_bound(self, choice):
+        problem = sc.Problem(
+            choice.vt, [sc.Constraint([sc.ConstraintTerm(choice.dd)], 0.4)]
+        )
+        stats = sc.SearchStats()
+        result = sc.propagation_loop(sc.DomainState(choice.vt), problem, stats=stats)
+        assert result.fixed == [(choice.y, True)]
+        assert stats.propagator_calls == 1
+
     def test_fixes_before_search(self, choice):
         problem = sc.Problem(
             choice.vt, [sc.Constraint([sc.ConstraintTerm(choice.dd)], 0.4)]
