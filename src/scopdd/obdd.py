@@ -8,10 +8,13 @@ separate registry whose insertion order fixes the global variable order, and
 every node's variable strictly precedes the variables of its internal
 children.
 
-``from_dnf`` and ``load_obdd`` build in a working store and return a
-compact copy holding only the nodes reachable from the root, so ``len(dd)``
-is the reachable node count plus the two terminals; the working store, with
-its apply memo, is dropped.  Every sweep runs over a diagram's ``rows``,
+``from_dnf`` makes one cube diagram per cube and ORs them as a balanced
+tree, neighbours pairwise, so each ``apply`` joins two disjunctions of like
+size instead of adding one cube to an ever larger one.  ``from_dnf`` and
+``load_obdd`` build in a working store and return a compact copy holding
+only the nodes reachable from the root, so ``len(dd)`` is the reachable
+node count plus the two terminals; the working store, with its apply memo,
+is dropped.  Every sweep runs over a diagram's ``rows``,
 which may start at several roots of one store.
 
 The text exchange format is line oriented (``#`` starts a comment):
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParseError, StructureError
 
@@ -47,8 +50,7 @@ Row = tuple[int, int, int, int, float | None]
 Roots = int | Iterable[int] | None
 
 
-@dataclass(frozen=True)
-class VarInfo:
+class VarInfo(NamedTuple):
     """One registered variable; ``index`` is its position in the order."""
 
     index: int
@@ -185,7 +187,8 @@ class Obdd:
         self._lo: list[int] = [-1, -1]
         self._hi: list[int] = [-1, -1]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._apply_memo: dict[tuple[str, int, int], int] = {}
+        # one memo per op, keyed by min(a, b) << 32 | max(a, b)
+        self._apply_memo: dict[str, dict[int, int]] = {AND: {}, OR: {}}
         self._rows_cache: dict[tuple[int, ...], list[Row]] = {}
 
     # -- store access -------------------------------------------------
@@ -263,44 +266,67 @@ class Obdd:
         return self._apply(op, a, b)
 
     def _apply(self, op: str, a: int, b: int) -> int:
-        """Apply on an explicit stack.  A task ``(None, a, b)`` asks for
-        (a op b); ``(var, a, b)`` makes its node from the lo and hi results
-        on top of ``done``.  Lo finishes before hi, so nodes are made in the
-        order of the recursive formulation."""
-        memo, var_of, lo_of, hi_of = self._apply_memo, self._var, self._lo, self._hi
+        """Apply on an explicit stack, the one apply loop for both ops.  A
+        task ``(a, b)`` asks for (a op b); ``(~var, key)`` makes the node of
+        ``var`` from the lo and hi results on top of ``done`` and memoizes
+        it under ``key``.  Lo finishes before hi, so nodes are made in the
+        order of the recursive formulation.
+
+        Each op has its own memo, keyed by ``min(a, b) << 32 | max(a, b)``
+        (node ids stay below 2**32); new nodes are hash-consed inline, not
+        through ``_make``."""
+        memo = self._apply_memo[op]
+        var_of, lo_of, hi_of, unique = self._var, self._lo, self._hi, self._unique
         absorbing, neutral = (TRUE_NODE, FALSE_NODE) if op == OR else (FALSE_NODE, TRUE_NODE)
-        tasks: list[tuple[int | None, int, int]] = [(None, a, b)]
+        tasks: list[tuple[int, int]] = [(a, b)]
         done: list[int] = []
+        push, pop, emit, take = tasks.append, tasks.pop, done.append, done.pop
         while tasks:
-            var, a, b = tasks.pop()
-            if var is not None:
-                hi = done.pop()
-                node = self._make(var, done.pop(), hi)
-                memo[(op, a, b)] = node
-                done.append(node)
+            a, b = pop()
+            if a < 0:  # (~var, key): make the node
+                hi = take()
+                lo = take()
+                if lo == hi:
+                    node = lo
+                else:
+                    triple = (~a, lo, hi)
+                    node = unique.get(triple)
+                    if node is None:
+                        node = unique[triple] = len(var_of)
+                        var_of.append(triple[0])
+                        lo_of.append(lo)
+                        hi_of.append(hi)
+                memo[b] = node
+                emit(node)
                 continue
             if a == b or b == neutral:
-                done.append(a)
+                emit(a)
                 continue
             if a == absorbing or b == absorbing:
-                done.append(absorbing)
+                emit(absorbing)
                 continue
             if a == neutral:
-                done.append(b)
+                emit(b)
                 continue
-            if a > b:
-                a, b = b, a
-            found = memo.get((op, a, b))
+            key = a << 32 | b if a < b else b << 32 | a
+            found = memo.get(key)
             if found is not None:
-                done.append(found)
+                emit(found)
                 continue
             # both operands are internal here
-            var = min(var_of[a], var_of[b])
-            a_lo, a_hi = (lo_of[a], hi_of[a]) if var_of[a] == var else (a, a)
-            b_lo, b_hi = (lo_of[b], hi_of[b]) if var_of[b] == var else (b, b)
-            tasks.append((var, a, b))
-            tasks.append((None, a_hi, b_hi))
-            tasks.append((None, a_lo, b_lo))
+            var_a, var_b = var_of[a], var_of[b]
+            if var_a == var_b:
+                push((~var_a, key))
+                push((hi_of[a], hi_of[b]))
+                push((lo_of[a], lo_of[b]))
+            elif var_a < var_b:
+                push((~var_a, key))
+                push((hi_of[a], b))
+                push((lo_of[a], b))
+            else:
+                push((~var_b, key))
+                push((a, hi_of[b]))
+                push((a, lo_of[b]))
         return done[0]
 
     # -- traversal ----------------------------------------------------
@@ -384,14 +410,20 @@ class Obdd:
 def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
     """Compile a monotone DNF into a reduced ordered diagram.
 
-    An empty cube list yields the constant-false diagram; a cube without
-    literals is the empty conjunction and yields constant true.
+    Builds one cube diagram per cube, in the given order, then ORs
+    neighbours pairwise, level by level, in one working store with one
+    apply memo, and returns the compact copy of the last root.  An empty
+    cube list yields the constant-false diagram; a cube without literals is
+    the empty conjunction and yields constant true.
     """
     dd = Obdd(variables)
-    root = FALSE_NODE
-    for cube in cubes:
-        root = dd.apply(OR, root, dd.cube(cube))
-    return dd._compact(root)
+    roots = [dd.cube(cube) for cube in cubes] or [FALSE_NODE]
+    while len(roots) > 1:
+        merged = [dd._apply(OR, a, b) for a, b in zip(roots[::2], roots[1::2])]
+        if len(roots) % 2:
+            merged.append(roots[-1])
+        roots = merged
+    return dd._compact(roots[0])
 
 
 def validate(dd: Obdd, root: int | None = None) -> None:

@@ -320,3 +320,18 @@ class TestBuildProblem:
         v1 = sc.strategy_value(plain.objective, plain.vars, all_true)
         v2 = sc.strategy_value(scaled.objective, scaled.vars, all_true)
         assert v2 == pytest.approx(2.5 * v1, abs=1e-12)
+
+    def test_compile_working_store_size(self, monkeypatch):
+        """Deterministic compile counter: the working store that path DNF
+        compilation fills before compaction, on a 24-edge network.  A left
+        fold of the path cubes fills 132,906 nodes here."""
+        sizes = []
+        compact = sc.Obdd._compact
+
+        def spy(dd, root):
+            sizes.append(len(dd))
+            return compact(dd, root)
+
+        monkeypatch.setattr(sc.Obdd, "_compact", spy)
+        sc.build_problem(sc.parse_network(random_model_text(random.Random("7:24"), 24)))
+        assert sizes and sum(sizes) <= 53_480

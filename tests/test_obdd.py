@@ -90,6 +90,70 @@ class TestApply:
                 right = dd.apply(OR, right, n)
             assert left == right
 
+    def test_interleaved_ops_match_truth_table(self):
+        """AND and OR calls alternate on one store, each operand pair under
+        both ops, so a memo entry of one op can never answer the other."""
+        rng = random.Random(17)
+        for _ in range(8):
+            table = make_table(rng, 4, 4)
+            dd = sc.Obdd(table)
+            pool = []
+            for _ in range(6):
+                root = 0
+                for cube in random_cubes(rng, table, max_cubes=4):
+                    root = dd.apply(OR, root, dd.cube(cube))
+                pool.append(root)
+            assignments = [dict(enumerate(bits))
+                           for bits in itertools.product([False, True], repeat=len(table))]
+            for _ in range(30):
+                x, y = rng.choice(pool), rng.choice(pool)
+                for op in rng.sample([AND, OR], 2):
+                    result = dd.apply(op, x, y)
+                    combine = all if op == AND else any
+                    for assignment in assignments:
+                        expected = combine((dd.eval_bool(assignment, x),
+                                            dd.eval_bool(assignment, y)))
+                        assert dd.eval_bool(assignment, result) == expected
+                    pool.append(result)
+            sc.validate(dd, pool[-1])
+
+
+def fold_dump(table, cubes) -> str:
+    """Reference compile: OR the cubes into the growing disjunction one at a
+    time, in a fresh store, through the public ``apply``."""
+    dd = sc.Obdd(table)
+    root = 0
+    for cube in cubes:
+        root = dd.apply(OR, root, dd.cube(cube))
+    return sc.dump_obdd(dd, root)
+
+
+class TestBalancedCompile:
+    """``from_dnf``'s balanced OR tree builds the same diagram as the left
+    fold, whatever the order of the cubes."""
+
+    def _check(self, rng, table, cubes):
+        dd = sc.from_dnf(table, cubes)
+        sc.validate(dd)
+        text = sc.dump_obdd(dd)
+        assert text == fold_dump(table, cubes)
+        shuffled = list(cubes)
+        rng.shuffle(shuffled)
+        assert sc.dump_obdd(sc.from_dnf(table, shuffled)) == text
+
+    def test_random_cubes_match_left_fold(self):
+        rng = random.Random(71)
+        for _ in range(60):
+            table = make_table(rng, rng.randint(1, 6), rng.randint(1, 6))
+            self._check(rng, table, random_cubes(rng, table, max_cubes=13))
+
+    def test_networks_match_left_fold(self):
+        rng = random.Random(73)
+        for _ in range(25):
+            model = sc.parse_network(random_model_text(rng, rng.randint(3, 14)))
+            for query in model.queries:
+                self._check(rng, model.vars, sc.st_path_dnf(model, query))
+
 
 class TestFromDnf:
     def test_empty_disjunction_is_false(self):
