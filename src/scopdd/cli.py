@@ -111,8 +111,11 @@ def cmd_compile(args) -> int:
     used = set()
     for query, term in zip(model.queries, terms):
         stem = f"{query.source}-{query.target}"
-        if stem in used:
-            stem = f"{stem}-{len(used)}"
+        if stem in used:  # first free suffix, so no file is written twice
+            suffix = len(used)
+            while f"{stem}-{suffix}" in used:
+                suffix += 1
+            stem = f"{stem}-{suffix}"
         used.add(stem)
         path = out_dir / f"{stem}.obdd"
         path.write_text(dump_obdd(term.obdd))
@@ -160,7 +163,9 @@ def _parse_fixes(fix_args, table):
             var = table.index(name)
             if not table.is_decision(var):
                 raise ScopddError(f"{name!r} is not a decision variable")
-            fixed[var] = value in ("1", "true")
+            flag = value in ("1", "true")
+            if fixed.setdefault(var, flag) != flag:
+                raise ScopddError(f"conflicting values for {name!r} in --fix")
     return fixed
 
 

@@ -95,16 +95,6 @@ class DomainState:
         clone._true_count = self._true_count
         return clone
 
-    def as_strategy(self) -> dict[int, bool]:
-        """Complete assignment; raises if any variable is still free."""
-        strategy = {}
-        for var, dom in enumerate(self._dom):
-            if dom == BOTH:
-                raise ValueError(f"variable {self.vars.name(var)!r} is still free")
-            if dom != -1:
-                strategy[var] = dom == TRUE_ONLY
-        return strategy
-
     def __repr__(self):
         parts = [
             f"{self.vars.name(v)}={_DOMAIN_NAMES[d]}"

@@ -1,12 +1,14 @@
 """Depth-first search with propagation for stochastic constraint problems.
 
-Satisfaction mode interleaves the cardinality propagator and the
-domain-consistent threshold propagator to a joint fixpoint at every search
-node; branching picks the first free decision variable in the global order
-and tries true before false.  Optimization is branch-and-bound in the
-same search: the objective is recast as a constraint whose threshold is
-raised in place past each incumbent, and the search goes on from there
-until the tree is exhausted.
+Every search node runs the cardinality propagator and the domain-consistent
+threshold propagators to a joint fixpoint.  The search branches, true
+first, only on decision variables that label a diagram node: fixing any
+other moves no bound and no drop.  A node closes once its optimistic
+completion (free labelled variables true, all others false) fits the
+cardinality bound, since that completion is the best strategy below it;
+variables no diagram reads come out false.  Optimization is
+branch-and-bound in the same search: the objective is recast as a
+constraint whose threshold is raised in place past each incumbent.
 """
 
 from __future__ import annotations
@@ -136,11 +138,15 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
             delta: float) -> tuple[dict[int, bool] | None, float | None, SearchStats]:
     """The one depth-first search, on an explicit stack.
 
-    Without ``objective`` it stops at the first solution.  With one, each
-    improving solution becomes the incumbent and raises the objective
-    constraint's exact (slack-free) threshold in place to its value + delta;
-    the search backtracks and goes on, propagating each frame it returns to
-    again under the raised threshold.  Nothing is rebuilt and no prefix is
+    After a node propagates, it closes if there is no bound or its true
+    count plus free labelled variables is within it: the optimistic
+    completion is then a solution worth the optimistic bound.  Otherwise
+    it branches on its first free labelled variable.  Without ``objective``
+    the first closed node is the answer.  With one, each improving
+    completion becomes the incumbent and raises the objective constraint's
+    exact (slack-free) threshold in place to its value + delta; the search
+    backtracks and goes on, propagating each frame it returns to again
+    under the raised threshold.  Nothing is rebuilt and no prefix is
     explored twice, since scratches do not depend on the threshold.
     """
     stats = SearchStats()
@@ -152,8 +158,8 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
     domains = DomainState(problem.vars)
     scratches = [constraint_scratch(c.terms, domains) for c in problem.constraints]
     stats.node_visits += sum(s.visits for s in scratches)  # initial full rebuilds
-    order = problem.vars.decision_ids()
-    best, best_value = None, None
+    order = sorted(set().union(*(s.var_nodes for s in scratches)))  # labelled variables
+    bound, best, best_value = problem.cardinality, None, None
 
     # frame: [position in order, domain mark, scratch marks, branches taken,
     # incumbents when last propagated]; all variables before position are fixed
@@ -162,18 +168,19 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
     while True:
         if ok:
             pos = stack[-1][0] + 1 if stack else 0
-            while pos < len(order) and not domains.is_free(order[pos]):
-                pos += 1
-            if pos < len(order):
-                stack.append([pos, domains.mark(), [s.mark() for s in scratches], 0,
+            free = [p for p in range(pos, len(order)) if domains.is_free(order[p])]
+            if bound is not None and domains.true_count() + len(free) > bound:
+                stack.append([free[0], domains.mark(), [s.mark() for s in scratches], 0,
                               stats.incumbents])
-            elif goal is None:
-                best = domains.as_strategy()
-                break
-            else:
-                value = scratches[-1].root_value()  # the goal's, exact on a full strategy
+            else:  # the optimistic completion fits the bound: the best in this subtree
+                strategy = {v: domains.domain(v) == TRUE_ONLY for v in problem.vars.decision_ids()}
+                strategy.update((order[p], True) for p in free)
+                if goal is None:
+                    best = strategy
+                    break
+                value = scratches[-1].root_value()  # the goal's, exact on this strategy
                 if best_value is None or value > best_value:
-                    best, best_value = domains.as_strategy(), value
+                    best, best_value = strategy, value
                     stats.incumbents += 1
                     goal.theta = value + delta
         # undo the top frame's live branch; drop frames with no branch left
@@ -210,7 +217,8 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
 
 
 def solve_sat(problem: Problem) -> tuple[dict[int, bool] | None, SearchStats]:
-    """First satisfying strategy in the deterministic search order, or None.
+    """First satisfying strategy in the deterministic search order, or None;
+    variables no diagram reads are false in it.
 
     Complete: a None answer means no strategy satisfies all constraints.
     """

@@ -55,6 +55,25 @@ class TestCompile:
         dd = sc.load_obdd((tmp_path / "a-z.obdd").read_text())
         assert dd.root == 0
 
+    def test_repeated_stem_never_overwrites(self, tmp_path, capsys):
+        # the second "a b" query must not take the name of the "a b-2" one
+        text = (
+            "node a\nnode b\nnode b-2\nedge a b 0.5\nedge a b-2 0.5\n"
+            "query a b-2\nquery a b\nquery a b\nobjective maximize\n"
+        )
+        src = tmp_path / "p.scop"
+        src.write_text(text)
+        out = tmp_path / "out"
+        assert main(["compile", str(src), "--out-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["a-b-2.obdd", "a-b-3.obdd", "a-b.obdd"]
+
+        def labels(name):
+            dd = sc.load_obdd((out / name).read_text())
+            return {dd.vars.name(dd.var_of(n)) for n in dd.internal_nodes()}
+
+        assert labels("a-b-2.obdd") == {"t_ab-2", "d_ab-2"}
+        assert labels("a-b.obdd") == labels("a-b-3.obdd") == {"t_ab", "d_ab"}
+
     def test_dot_styles(self, tmp_path, net_file, capsys):
         assert main(["compile", str(net_file), "--out-dir", str(tmp_path), "--dot"]) == 0
         dot = (tmp_path / "a-c.dot").read_text()
@@ -106,6 +125,12 @@ class TestPropagateCmd:
 
     def test_unknown_fix_name(self, choice_file, capsys):
         assert main(["propagate", str(choice_file), "--theta", "0.4", "--fix", "q=1"]) == 1
+
+    def test_conflicting_fix_exit_one(self, choice_file, capsys):
+        argv = ["propagate", str(choice_file), "--theta", "0.4", "--fix", "x=1"]
+        assert main(argv + ["--fix", "x=0"]) == 1
+        assert "conflicting values for 'x'" in capsys.readouterr().err
+        assert main(argv + ["--fix", "x=true"]) == 0  # a repeated equal value is fine
 
     def test_theta_outside_reward_range(self, choice_file, capsys):
         assert main(["propagate", str(choice_file), "--theta", "1.5"]) == 1

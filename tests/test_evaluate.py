@@ -157,9 +157,8 @@ class TestDomainState:
         with pytest.raises(ValueError):
             domains.domain(stochastic)
 
-    def test_as_strategy_requires_complete(self, choice):
+    def test_fixed_items_lists_only_fixed(self, choice):
         domains = sc.DomainState(choice.vt, fixed={choice.x: True})
-        with pytest.raises(ValueError):
-            domains.as_strategy()
+        assert domains.fixed_items() == [(choice.x, True)]
         domains.fix(choice.y, False)
-        assert domains.as_strategy() == {choice.x: True, choice.y: False}
+        assert dict(domains.fixed_items()) == {choice.x: True, choice.y: False}

@@ -58,17 +58,36 @@ def ramp_opt(problem, delta=1e-9):
 
 
 def star_problem(goal, leaves=1100):
-    """Hub ``h`` joined to ``leaves`` nodes, one query to the first: the
-    search runs one level per edge, deeper than Python's default recursion
-    limit of 1,000."""
+    """Hub ``h`` joined to ``leaves`` nodes, one query to the first: only
+    ``d_hx0`` labels a diagram node, every other edge variable is unread."""
     lines = ["node h"] + [f"node x{i}" for i in range(leaves)]
     lines += [f"edge h x{i} 0.5" for i in range(leaves)]
     lines += ["query h x0", goal]
     return sc.build_problem(sc.parse_network("\n".join(lines) + "\n"))
 
 
-def random_problem(rng):
-    table, terms = _random_terms(rng)
+@pytest.fixture(scope="module")
+def hub():
+    """Hub ``h`` joined to 1,100 leaves, one term ``d_hxi and t_hxi`` per
+    leaf: every edge variable is labelled, so under a bound of 1,099 the
+    search fixes one edge per level, deeper than Python's default recursion
+    limit of 1,000.  Built through the table, without parsing or path
+    enumeration, and shared by the tests that use it."""
+    table = sc.VariableTable()
+    for i in range(1100):
+        table.add_stochastic(f"t_hx{i}", 0.5)
+        table.add_decision(f"d_hx{i}")
+    terms = [
+        sc.ConstraintTerm(sc.from_dnf(table, [sc.Cube.positive([2 * i, 2 * i + 1])]))
+        for i in range(1100)
+    ]
+    return table, terms
+
+
+def random_problem(rng, table_terms=None):
+    """A random sat or opt problem over ``table_terms`` (default: drawn by
+    ``_random_terms``); returns it and whether it maximizes."""
+    table, terms = table_terms or _random_terms(rng)
     maximize = rng.random() < 0.5
     cardinality = (
         rng.randint(0, len(table.decision_ids())) if rng.random() < 0.5 else None
@@ -97,6 +116,26 @@ def _random_terms(rng):
             rng.choice([1.0, 1.0, 2.0]),
         )
         for _ in range(n_terms)
+    ]
+    return table, terms
+
+
+def _unlabelled_terms(rng):
+    """Like ``_random_terms``, but one to three decision variables of the
+    table appear in no cube."""
+    table = make_table(rng, rng.randint(2, 8), rng.randint(1, 4))
+    decisions = table.decision_ids()
+    spare = set(rng.sample(decisions, rng.randint(1, min(3, len(decisions) - 1))))
+    used = [v for v in range(len(table)) if v not in spare]
+    terms = [
+        sc.ConstraintTerm(
+            sc.from_dnf(table, [
+                sc.Cube.positive(rng.sample(used, rng.randint(1, min(4, len(used)))))
+                for _ in range(rng.randint(1, 5))
+            ]),
+            rng.choice([1.0, 1.0, 2.0]),
+        )
+        for _ in range(rng.choice([1, 1, 2]))
     ]
     return table, terms
 
@@ -221,7 +260,7 @@ class TestPropagationLoop:
         result = sc.propagation_loop(domains, problem)
         assert result.ok
         assert dict(result.fixed) == {choice.y: True, choice.x: False}
-        assert domains.as_strategy() == {choice.x: False, choice.y: True}
+        assert dict(domains.fixed_items()) == {choice.x: False, choice.y: True}
 
     def test_no_constraints_is_noop(self, choice):
         problem = sc.Problem(
@@ -425,18 +464,22 @@ class TestCompiledTwoQueryOracle:
 
 
 class TestDeepSearch:
-    def test_sat_deeper_than_recursion_limit(self):
-        problem = star_problem("constraint >= 0.4")
+    def test_sat_deeper_than_recursion_limit(self, hub):
+        table, terms = hub
+        problem = sc.Problem(table, [sc.Constraint(terms, 0.4)], cardinality=1099)
         strategy, stats = sc.solve_sat(problem)
-        assert strategy == {v: True for v in problem.vars.decision_ids()}
-        assert stats.nodes_expanded == 1099  # d_hx0 is fixed at the root
+        last = table.index("d_hx1099")  # the bound, once met, fixes it false
+        assert strategy == {v: v != last for v in table.decision_ids()}
+        assert (stats.nodes_expanded, stats.backtracks) == (1099, 0)
 
-    def test_opt_deeper_than_recursion_limit(self):
-        problem = star_problem("objective maximize")
+    def test_opt_deeper_than_recursion_limit(self, hub):
+        table, terms = hub
+        problem = sc.Problem(table, [], cardinality=1099, objective=terms)
         strategy, value, stats = sc.solve_opt(problem)
-        assert strategy == {v: True for v in problem.vars.decision_ids()}
-        assert value == pytest.approx(0.5, abs=1e-12)
-        assert stats.incumbents == 1
+        last = table.index("d_hx1099")
+        assert strategy == {v: v != last for v in table.decision_ids()}
+        assert value == pytest.approx(549.5, abs=1e-9)
+        assert (stats.nodes_expanded, stats.backtracks, stats.incumbents) == (1099, 1099, 1)
 
     def test_scratch_dc_visits_independent_of_unlabelled_variables(self):
         visits = []
@@ -452,6 +495,50 @@ class TestDeepSearch:
             assert backed.bound == plain.bound
             visits.append(backed.visits)
         assert visits[0] == visits[1]
+
+
+class TestUnlabelledVariables:
+    """Decision variables that label no diagram node are never branched on
+    and come out false."""
+
+    def test_random_problems_match_brute_force(self):
+        rng = random.Random(89)
+        seen = set()
+        for _ in range(150):
+            problem, maximize = random_problem(rng, _unlabelled_terms(rng))
+            terms = problem.objective if maximize else problem.constraints[0].terms
+            decisions = problem.vars.decision_ids()
+            labelled = {t.obdd.var_of(n) for t in terms for n in t.obdd.internal_nodes()}
+            unlabelled = [v for v in decisions if v not in labelled]
+            assert unlabelled
+            if maximize:
+                strategy, value, stats = sc.solve_opt(problem)
+                assert value == pytest.approx(brute_opt(problem), abs=1e-9)
+                assert value == pytest.approx(
+                    sc.strategy_value(terms, problem.vars, strategy), abs=1e-12)
+            else:
+                strategy, stats = sc.solve_sat(problem)
+                assert (strategy is None) == (brute_sat(problem) is None)
+                if strategy is not None:
+                    value = sc.strategy_value(terms, problem.vars, strategy)
+                    assert value >= problem.constraints[0].theta - 1e-9
+            if strategy is not None:
+                assert set(strategy) == set(decisions)
+                assert not any(strategy[v] for v in unlabelled)
+                if problem.cardinality is not None:
+                    assert sum(strategy.values()) <= problem.cardinality
+            bound = problem.cardinality
+            if bound is None or bound >= len(decisions) - len(unlabelled):
+                assert stats.nodes_expanded == 0
+            seen.add((maximize, stats.nodes_expanded == 0))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_star_closes_at_the_root(self):
+        problem = star_problem("constraint >= 0.4")
+        strategy, stats = sc.solve_sat(problem)
+        hx0 = problem.vars.index("d_hx0")  # forced true by the threshold
+        assert strategy == {v: v == hx0 for v in problem.vars.decision_ids()}
+        assert stats.nodes_expanded == 0
 
 
 class TestProblemValidation:
