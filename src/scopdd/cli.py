@@ -365,7 +365,11 @@ def cmd_bench(args) -> int:
     try:
         sizes = [int(tok) for tok in args.size.split(",") if tok]
     except ValueError:
-        raise ScopddError(f"bad --size {args.size!r}") from None
+        sizes = []
+    if not sizes or min(sizes) < 1:
+        raise ScopddError(f"bad --size {args.size!r}: want counts of at least 1")
+    if args.count < 1:
+        raise ScopddError(f"bad --count {args.count}: want at least 1")
     results = [bench_instance(args.seed, n, i) for n in sizes for i in range(args.count)]
     fields = ["instance", "propagator", "decision_vars", "obdd_nodes", "fixed", "visits"]
     if not args.no_timing:

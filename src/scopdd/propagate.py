@@ -65,12 +65,17 @@ class PropagationResult:
     call); on ``FAILED`` nothing was fixed and the caller must backtrack.
     ``bound`` is the optimistic constraint value where the propagator
     computes one, and ``visits`` counts instrumented node visits.
+    ``drops`` maps each free variable that labels a node to the drop of
+    ``bound`` were it fixed false, as read before the call's own fixes
+    (``dc_propagate``), or summed over the constraints at the fixpoint
+    and keyed by the variables still free (``propagation_loop``).
     """
 
     status: str
     fixed: list[tuple[int, bool]] = field(default_factory=list)
     bound: float | None = None
     visits: int = 0
+    drops: dict[int, float] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -193,7 +198,7 @@ def dc_propagate(
     it reads drops from.  Without it one is built, and the call counts its
     two sweeps plus one visit per free variable.  Drops are read only for
     the free variables that label a node: any other variable's drop is
-    zero, so it is never forced.
+    zero, so it is never forced.  An OK result carries the drops.
     """
     _check_terms(terms, domains)
     fresh = scratch is None
@@ -213,7 +218,7 @@ def dc_propagate(
         if bound - drop[var] < theta - eps:
             domains.fix(var, True)
             fixed.append((var, True))
-    return PropagationResult(OK, fixed=fixed, bound=bound, visits=visits)
+    return PropagationResult(OK, fixed=fixed, bound=bound, visits=visits, drops=drop)
 
 
 def naive_propagate(

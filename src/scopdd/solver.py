@@ -2,13 +2,14 @@
 
 Every search node runs the cardinality propagator and the domain-consistent
 threshold propagators to a joint fixpoint.  The search branches, true
-first, only on decision variables that label a diagram node: fixing any
-other moves no bound and no drop.  A node closes once its optimistic
-completion (free labelled variables true, all others false) fits the
-cardinality bound, since that completion is the best strategy below it;
-variables no diagram reads come out false.  Optimization is
-branch-and-bound in the same search: the objective is recast as a
-constraint whose threshold is raised in place past each incumbent.
+first, on the labelled variable (one a diagram node reads) whose drop in
+the optimistic bounds, summed over the constraints, is largest; the lowest
+index wins ties.  A node closes once its optimistic completion (free
+labelled variables true, all others false) fits the cardinality bound,
+since that completion is the best strategy below it; variables no diagram
+reads come out false.  Optimization is branch-and-bound in the same
+search: the objective is recast as a constraint whose threshold is raised
+in place past each incumbent.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def propagation_loop(
     Threshold propagators only fix variables to true, and a true-fix moves
     no bound and no drop, so after one round every threshold constraint is
     at its fixpoint.  Only the cardinality bound can react to the round's
-    true-fixes, and only once they reach it; then another round runs.
+    true-fixes, and only once they reach it; then another round runs.  So
+    the last round's drops, summed over constraints, hold at the fixpoint.
     """
     if stats is None:
         stats = SearchStats()
@@ -113,25 +115,25 @@ def propagation_loop(
                 for scratch in scratches or ():
                     stats.node_visits += scratch.apply_fixes(result.fixed)
                 all_fixed.extend(result.fixed)
-        forced_true = False
+        round_start = len(all_fixed)
+        drops: dict[int, float] = {}
         for index, constraint in enumerate(problem.constraints):
             result = dc_propagate(constraint.terms, domains, constraint.theta, eps=constraint.eps,
                                   scratch=scratches[index] if scratches else None)
             stats.propagator_calls += 1
             stats.node_visits += result.visits
             if not result.ok:
-                return PropagationResult(
-                    FAILED, bound=result.bound, visits=stats.node_visits - seen
-                )
+                return PropagationResult(FAILED, bound=result.bound,
+                                         visits=stats.node_visits - seen)
             bound = result.bound
-            if result.fixed:
-                forced_true = True
-                all_fixed.extend(result.fixed)
-        if not (forced_true and problem.cardinality is not None
+            for var, amount in result.drops.items():
+                drops[var] = drops.get(var, 0.0) + amount
+            all_fixed.extend(result.fixed)  # true-fixes
+        if not (len(all_fixed) > round_start and problem.cardinality is not None
                 and domains.true_count() >= problem.cardinality):
-            return PropagationResult(
-                OK, fixed=all_fixed, bound=bound, visits=stats.node_visits - seen
-            )
+            free = {var: amount for var, amount in drops.items() if domains.is_free(var)}
+            return PropagationResult(OK, fixed=all_fixed, bound=bound,
+                                     visits=stats.node_visits - seen, drops=free)
 
 
 def _search(problem: Problem, objective: list[ConstraintTerm] | None,
@@ -139,15 +141,15 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
     """The one depth-first search, on an explicit stack.
 
     After a node propagates, it closes if there is no bound or its true
-    count plus free labelled variables is within it: the optimistic
-    completion is then a solution worth the optimistic bound.  Otherwise
-    it branches on its first free labelled variable.  Without ``objective``
-    the first closed node is the answer.  With one, each improving
-    completion becomes the incumbent and raises the objective constraint's
-    exact (slack-free) threshold in place to its value + delta; the search
-    backtracks and goes on, propagating each frame it returns to again
-    under the raised threshold.  Nothing is rebuilt and no prefix is
-    explored twice, since scratches do not depend on the threshold.
+    count plus free labelled variables (its drops' keys) is within it: the
+    optimistic completion is then a solution worth the optimistic bound.
+    Else it branches on the largest drop.  Without ``objective`` the first
+    closed node is the answer.  With one, each improving completion becomes
+    the incumbent and raises the objective constraint's exact (slack-free)
+    threshold in place to its value + delta; the search backtracks and goes
+    on, propagating each frame it returns to again under the raised
+    threshold.  Nothing is rebuilt and no prefix is explored twice, since
+    scratches do not depend on the threshold.
     """
     stats = SearchStats()
     start = time.perf_counter()
@@ -158,23 +160,22 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
     domains = DomainState(problem.vars)
     scratches = [constraint_scratch(c.terms, domains) for c in problem.constraints]
     stats.node_visits += sum(s.visits for s in scratches)  # initial full rebuilds
-    order = sorted(set().union(*(s.var_nodes for s in scratches)))  # labelled variables
     bound, best, best_value = problem.cardinality, None, None
 
-    # frame: [position in order, domain mark, scratch marks, branches taken,
-    # incumbents when last propagated]; all variables before position are fixed
+    # frame: [branching variable, domain mark, scratch marks, branches taken,
+    # incumbents when last propagated]; the marks restore the node's fixpoint
     stack: list[list] = []
-    ok = propagation_loop(domains, problem, scratches, stats).ok
+    result = propagation_loop(domains, problem, scratches, stats)
     while True:
-        if ok:
-            pos = stack[-1][0] + 1 if stack else 0
-            free = [p for p in range(pos, len(order)) if domains.is_free(order[p])]
-            if bound is not None and domains.true_count() + len(free) > bound:
-                stack.append([free[0], domains.mark(), [s.mark() for s in scratches], 0,
+        if result.ok:
+            drops = result.drops  # keys: the free labelled variables
+            if bound is not None and domains.true_count() + len(drops) > bound:
+                var = min(drops, key=lambda v: (-drops[v], v))  # largest drop
+                stack.append([var, domains.mark(), [s.mark() for s in scratches], 0,
                               stats.incumbents])
             else:  # the optimistic completion fits the bound: the best in this subtree
-                strategy = {v: domains.domain(v) == TRUE_ONLY for v in problem.vars.decision_ids()}
-                strategy.update((order[p], True) for p in free)
+                strategy = {v: v in drops or domains.domain(v) == TRUE_ONLY
+                            for v in problem.vars.decision_ids()}
                 if goal is None:
                     best = strategy
                     break
@@ -185,7 +186,7 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
                     goal.theta = value + delta
         # undo the top frame's live branch; drop frames with no branch left
         while stack:
-            pos, domain_mark, scratch_marks, taken, seen = frame = stack[-1]
+            var, domain_mark, scratch_marks, taken, seen = frame = stack[-1]
             if taken:
                 domains.undo_to(domain_mark)
                 for scratch, mark in zip(scratches, scratch_marks):
@@ -196,22 +197,21 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
             stack.pop()
         if not stack:
             break
-        var, branch = order[pos], taken == 0  # true first
         if seen < stats.incumbents:  # the threshold rose: propagate this state again
             frame[4] = stats.incumbents
-            ok = propagation_loop(domains, problem, scratches, stats).ok
-            if not ok or domains.domain(var) == TRUE_ONLY:  # false branch pruned
+            result = propagation_loop(domains, problem, scratches, stats)
+            if not result.ok or domains.domain(var) == TRUE_ONLY:  # false branch pruned
                 stack.pop()
-                ok = False
+                result = PropagationResult(FAILED)
                 continue
         frame[3] = taken + 1
         stats.nodes_expanded += 1
         if domains.is_free(var):  # else propagation just forced it false
-            domains.fix(var, branch)
-            if not branch:
+            domains.fix(var, not taken)  # true first
+            if taken:
                 for scratch in scratches:
                     stats.node_visits += scratch.apply_fix(var, False)
-            ok = propagation_loop(domains, problem, scratches, stats).ok
+            result = propagation_loop(domains, problem, scratches, stats)
     stats.wall_time += time.perf_counter() - start
     return best, best_value, stats
 

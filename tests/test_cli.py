@@ -169,7 +169,7 @@ class TestSolveCmd:
             "nodes_expanded", "backtracks", "propagator_calls",
             "node_visits", "incumbents", "wall_time",
         }
-        assert record["stats"]["incumbents"] == 3
+        assert record["stats"]["incumbents"] == 1  # largest-drop order finds the optimum first
 
     @pytest.mark.parametrize("delta", ["-0.1", "nan", "inf"])
     def test_invalid_delta_exit_one(self, net_file, capsys, delta):
@@ -235,3 +235,17 @@ class TestBenchCmd:
         out = self._run(capsys)
         header = out.splitlines()[0].split(",")
         assert header[-1] == "wall_s"
+
+    @pytest.mark.parametrize("size", ["0,-2", "4,0", "-1", ",", "4,x"])
+    def test_bad_size_exit_one(self, capsys, size):
+        assert main(["bench", "--size", size, "--count", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "bad --size" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_bad_count_exit_one(self, capsys, count):
+        assert main(["bench", "--size", "4", "--count", count]) == 1
+        captured = capsys.readouterr()
+        assert "bad --count" in captured.err
+        assert captured.out == ""

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import scopdd as sc
+from scopdd import solver as solver_module
 from scopdd.cli import random_model_text
 
 from conftest import (all_strategies, make_table, pick_theta, random_cubes, random_domains,
@@ -204,6 +205,91 @@ def loop_corpus():
         problem.cardinality = rng.randint(0, len(problem.vars.decision_ids()))
         problem.constraints[0].theta = rng.uniform(0, 0.8 * len(problem.constraints[0].terms))
         yield rng, problem
+
+
+def drop_corpus():
+    """``loop_corpus``, every other problem with a second constraint over
+    the same table, so that drops are summed over constraints."""
+    for i, (rng, problem) in enumerate(loop_corpus()):
+        if i % 2:
+            term = sc.ConstraintTerm(sc.from_dnf(problem.vars, random_cubes(rng, problem.vars, 4)))
+            problem = sc.Problem(problem.vars, problem.constraints
+                                 + [sc.Constraint([term], rng.uniform(0, 0.5))],
+                                 problem.cardinality)
+        yield rng, problem
+
+
+def fresh_drops(problem, domains):
+    """Reward-weighted drops summed over every constraint's terms, from
+    fresh sweeps of each term's diagram, for each free variable that labels
+    a node: the oracle for ``propagation_loop``'s ``drops``."""
+    total = {}
+    for constraint in problem.constraints:
+        for term in constraint.terms:
+            dd = term.obdd
+            labelled = {dd.var_of(node) for node in dd.internal_nodes()}
+            drops = sc.compute_derivatives(dd, sc.compute_path_weights(dd, domains),
+                                           sc.compute_values(dd, domains), domains)
+            for var in labelled.intersection(drops):
+                total[var] = total.get(var, 0.0) + term.reward * drops[var]
+    return total
+
+
+def seeded_optimisation(n):
+    """``random_model_text`` at seed ``7:n``, maximized under the bound
+    ``n // 3``."""
+    text = random_model_text(random.Random(f"7:{n}"), n).replace(
+        "constraint >= 0", f"cardinality <= {n // 3}\nobjective maximize")
+    return sc.build_problem(sc.parse_network(text))
+
+
+class TestFixpointDrops:
+    """``propagation_loop`` sums the drops its last round read, so the
+    search branches on them without another pass."""
+
+    def test_drops_match_fresh_derivatives(self):
+        checked = summed = 0
+        for rng, problem in drop_corpus():
+            for _ in range(3):  # random fix sequences, each from the root
+                domains = sc.DomainState(problem.vars)
+                scratches = [sc.constraint_scratch(c.terms, domains)
+                             for c in problem.constraints]
+                result = sc.propagation_loop(domains, problem, scratches)
+                while result.ok:
+                    expected = fresh_drops(problem, domains)
+                    assert set(result.drops) == set(expected)
+                    for var, amount in expected.items():
+                        assert result.drops[var] == pytest.approx(amount, abs=1e-12)
+                    checked += 1
+                    summed += len(problem.constraints) > 1 and bool(expected)
+                    free = domains.free_vars()
+                    if not free:
+                        break
+                    var, value = rng.choice(free), rng.random() < 0.5
+                    domains.fix(var, value)
+                    if not value:
+                        for scratch in scratches:
+                            scratch.apply_fix(var, False)
+                    result = sc.propagation_loop(domains, problem, scratches)
+        assert checked > 1000 and summed > 250
+
+    def test_search_reads_drops_once_per_threshold_call(self, monkeypatch):
+        calls = {"dc_propagate": 0, "drops": 0}
+        dc_propagate, drops = solver_module.dc_propagate, sc.PropagationScratch.drops
+
+        def counting_dc_propagate(*args, **kwargs):
+            calls["dc_propagate"] += 1
+            return dc_propagate(*args, **kwargs)
+
+        def counting_drops(scratch):
+            calls["drops"] += 1
+            return drops(scratch)
+
+        monkeypatch.setattr(solver_module, "dc_propagate", counting_dc_propagate)
+        monkeypatch.setattr(sc.PropagationScratch, "drops", counting_drops)
+        _, _, stats = sc.solve_opt(seeded_optimisation(16))
+        assert stats.nodes_expanded > 0
+        assert calls["drops"] == calls["dc_propagate"] > 0
 
 
 class TestPropagationLoop:
@@ -495,6 +581,40 @@ class TestDeepSearch:
             assert backed.bound == plain.bound
             visits.append(backed.visits)
         assert visits[0] == visits[1]
+
+
+class TestLargestDropBranching:
+    """The search branches on the largest summed drop, the lowest index on
+    ties.  The counts pinned here depend on how drops that tie within float
+    noise order; once the diagrams' variable order departs from the index
+    order they may move, while the optima may not."""
+
+    @pytest.mark.parametrize("p0, p1, chosen", [(0.1, 0.9, "d1"), (0.5, 0.5, "d0")])
+    def test_first_completion_is_the_optimum(self, p0, p1, chosen):
+        # two edges ``d_i and t_i`` worth p0 and p1, at most one selected
+        table = sc.VariableTable()
+        for i, p in enumerate((p0, p1)):
+            table.add_stochastic(f"t{i}", p)
+            table.add_decision(f"d{i}")
+        terms = [sc.ConstraintTerm(sc.from_dnf(table, [sc.Cube.positive([2 * i, 2 * i + 1])]))
+                 for i in range(2)]
+        problem = sc.Problem(table, [], cardinality=1, objective=terms)
+        strategy, value, stats = sc.solve_opt(problem)
+        assert strategy == {v: table.name(v) == chosen for v in table.decision_ids()}
+        assert value == pytest.approx(max(p0, p1), abs=1e-12)
+        # the raised threshold then forces the chosen edge true, which
+        # prunes its false branch unexpanded
+        assert (stats.nodes_expanded, stats.incumbents) == (1, 1)
+
+    @pytest.mark.parametrize("n, nodes, optimum", [
+        (16, 14, 0.6662715122959944),
+        (20, 70, 1.9057673950937453),
+    ])
+    def test_seeded_optimisation(self, n, nodes, optimum):
+        strategy, value, stats = sc.solve_opt(seeded_optimisation(n))
+        assert value == pytest.approx(optimum, abs=1e-12)
+        assert sum(strategy.values()) <= n // 3
+        assert stats.nodes_expanded == nodes
 
 
 class TestUnlabelledVariables:
