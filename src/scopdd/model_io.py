@@ -12,11 +12,19 @@ The problem file format is line oriented (``#`` starts a comment):
 
 Each edge (u, v) contributes a stochastic variable ``t_uv`` carrying the
 edge probability and a decision variable ``d_uv`` that selects the edge.
-By default they are registered interleaved, t before d, in edge declaration
-order; an ``order`` line naming each of them once overrides this.  A query
-s -> t compiles into one cube per simple path between the endpoints: the
-conjunction of d_e and t_e over the path's edges, edges usable in either
-direction.
+They are registered interleaved, t before d, in edge declaration order, so
+edge i's variables have indices 2i and 2i + 1.  The diagram levels follow
+an ``order`` line naming each variable once; without one they follow the
+order rule: a breadth-first search from the first query's source, over
+neighbours in edge declaration order, ranks the nodes, and the edges are
+sorted by (rank of the later endpoint, rank of the earlier endpoint,
+declaration index), with unreached endpoints ranked last; each edge's t
+sits just above its d.  This keeps few edges open between the levels
+visited and the levels to come, and with them the diagrams small.
+
+A query s -> t compiles into one cube per simple path between the
+endpoints: the conjunction of d_e and t_e over the path's edges, edges
+usable in either direction.
 """
 
 from __future__ import annotations
@@ -69,9 +77,12 @@ class ParsedModel:
     cardinality: int | None = None
     maximize: bool = False
     theta: float | None = None
-    order: list[str] | None = None
+    order: list[str] | None = None  # the file's order line, if any
     stoch_var: dict[frozenset, int] = field(default_factory=dict, compare=False)
     decision_var: dict[frozenset, int] = field(default_factory=dict, compare=False)
+    # node -> (neighbour, edge index) pairs in edge declaration order
+    adjacency: dict[str, list[tuple[str, int]]] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
 def edge_var_names(u: str, v: str) -> tuple[str, str]:
@@ -195,29 +206,56 @@ def parse_network(text: str) -> ParsedModel:
 
 
 def with_order(model: ParsedModel, order: list[str]) -> ParsedModel:
-    """Copy of the model with its variables re-registered in the given order."""
+    """Copy of the model whose variables take their levels from the given
+    order; their indices stay in declaration order."""
     return _with_edge_variables(replace(model, order=list(order)))
 
 
 def _with_edge_variables(model: ParsedModel, order_line: int | None = None) -> ParsedModel:
-    """Register the model's edge variables, in its order if it has one, and
-    map each edge to them; returns the model."""
+    """Register the model's edge variables, with levels from its order if it
+    has one and from the order rule if not, map each edge to them and build
+    the model's adjacency; returns the model."""
+    model.adjacency = adjacency = {name: [] for name in model.network.nodes}
     declared: list[tuple[str, str, float | None]] = []
-    for edge in model.network.edges:
+    model.stoch_var, model.decision_var = {}, {}
+    for i, edge in enumerate(model.network.edges):
+        adjacency[edge.u].append((edge.v, i))
+        adjacency[edge.v].append((edge.u, i))
         t_name, d_name = edge_var_names(edge.u, edge.v)
-        declared.append((t_name, STOCHASTIC, edge.prob))
-        declared.append((d_name, DECISION, None))
+        declared += [(t_name, STOCHASTIC, edge.prob), (d_name, DECISION, None)]
+        key = edge.key()
+        model.stoch_var[key], model.decision_var[key] = 2 * i, 2 * i + 1
+    order = model.order
+    if order is None:
+        order = [declared[var][0] for i in _rule_edge_order(model) for var in (2 * i, 2 * i + 1)]
     try:
-        table = model.vars = VariableTable(declared, model.order, noun="edge")
+        model.vars = VariableTable(declared, order, noun="edge")
     except ValueError as exc:
         raise ParseError(str(exc), order_line) from None
-    model.stoch_var, model.decision_var = {}, {}
-    for edge in model.network.edges:
-        t_name, d_name = edge_var_names(edge.u, edge.v)
-        key = edge.key()
-        model.stoch_var[key] = table.index(t_name)
-        model.decision_var[key] = table.index(d_name)
     return model
+
+
+def _rule_edge_order(model: ParsedModel) -> list[int]:
+    """Edge indices sorted by the order rule of the module docstring."""
+    adjacency = model.adjacency
+    queue = [model.queries[0].source]
+    rank = {queue[0]: 0}  # position in the queue
+    order: list[int] = []
+    for at_rank, at in enumerate(queue):
+        # the edges whose later endpoint is ``at``, by their earlier endpoint
+        earlier = []
+        for neighbor, i in adjacency[at]:
+            neighbor_rank = rank.get(neighbor)
+            if neighbor_rank is None:
+                rank[neighbor] = len(queue)
+                queue.append(neighbor)
+            elif neighbor_rank < at_rank:
+                earlier.append((neighbor_rank, i))
+        earlier.sort()
+        order += [i for _, i in earlier]
+    # an edge with an unreached endpoint has two; these go last, as declared
+    order += [i for i, edge in enumerate(model.network.edges) if edge.u not in rank]
+    return order
 
 
 def st_path_dnf(
@@ -225,18 +263,32 @@ def st_path_dnf(
 ) -> list[Cube]:
     """One cube (d_e and t_e over the path's edges) per simple source-target
     path.  Disconnected endpoints yield an empty list (a constant-false
-    event); more than ``cap`` paths raises CapacityError."""
-    network = model.network
-    adjacency: dict[str, list[tuple[str, Edge]]] = {name: [] for name in network.nodes}
-    for edge in network.edges:
-        adjacency[edge.u].append((edge.v, edge))
-        adjacency[edge.v].append((edge.u, edge))
-    for name in (query.source, query.target):
+    event); more than ``cap`` paths raises CapacityError.
+
+    A node other than the endpoints with at most one neighbour left lies on
+    no simple path between them, so such dead ends are dropped, repeatedly,
+    before the walk; the paths and their order are those of the walk over
+    the whole network."""
+    adjacency = model.adjacency
+    ends = {query.source, query.target}
+    for name in ends:
         if name not in adjacency:
             raise ValueError(f"unknown node {name!r}")
+    # the dead ends start out visited, so the walk never enters them
+    visited = {name for name, links in adjacency.items()
+               if len(links) <= 1 and name not in ends}
+    dead_ends = list(visited)
+    degree: dict[str, int] = {}  # neighbours left, once a node has lost one
+    while dead_ends:
+        for neighbor, _ in adjacency[dead_ends.pop()]:
+            if neighbor not in visited and neighbor not in ends:
+                degree[neighbor] = degree.get(neighbor, len(adjacency[neighbor])) - 1
+                if degree[neighbor] == 1:
+                    visited.add(neighbor)
+                    dead_ends.append(neighbor)
+    visited.add(query.source)
     cubes: list[Cube] = []
-    visited = {query.source}
-    path_edges: list[Edge] = []
+    path: list[int] = []  # edge indices
     # depth-first over simple paths; each frame holds a path node and the
     # iterator over its remaining neighbours, in edge declaration order
     stack = [(query.source, iter(adjacency[query.source]))]
@@ -248,23 +300,19 @@ def st_path_dnf(
                     f"more than {cap} simple paths from {query.source!r} to "
                     f"{query.target!r}; use a smaller instance or raise the cap"
                 )
-            literals = []
-            for edge in path_edges:
-                literals.append((model.decision_var[edge.key()], True))
-                literals.append((model.stoch_var[edge.key()], True))
-            cubes.append(Cube(tuple(literals)))
+            cubes.append(Cube.positive(var for i in path for var in (2 * i, 2 * i + 1)))
             neighbors = ()  # a path ends at the target
-        for neighbor, edge in neighbors:
+        for neighbor, i in neighbors:
             if neighbor not in visited:
                 visited.add(neighbor)
-                path_edges.append(edge)
+                path.append(i)
                 stack.append((neighbor, iter(adjacency[neighbor])))
                 break
         else:
             stack.pop()
             visited.discard(at)
-            if path_edges:
-                path_edges.pop()
+            if path:
+                path.pop()
     return cubes
 
 

@@ -4,9 +4,11 @@ A diagram lives in an append-only node store of (var, lo, hi) triples with
 hash-consing: structurally equal subgraphs share one node id, so isomorphism
 within a store reduces to id equality.  Ids 0 and 1 are the false/true
 terminals; all other ids are internal nodes.  Variables are kept in a
-separate registry whose insertion order fixes the global variable order, and
-every node's variable strictly precedes the variables of its internal
-children.
+separate registry, indexed in declaration order; each also has a level,
+its place in the global variable order, and every node's level is strictly
+smaller than the levels of its internal children.  Nodes, cubes and rows
+name variables by index, and the store keeps each node's level beside its
+variable, which ``apply`` compares and ``rows`` sorts by.
 
 ``from_dnf`` makes one cube diagram per cube and ORs them as a balanced
 tree, neighbours pairwise, so each ``apply`` joins two disjunctions of like
@@ -21,7 +23,8 @@ The text exchange format is line oriented (``#`` starts a comment):
 
     var <name> decision
     var <name> stochastic <p>
-    order <name> <name> ...        # optional, overrides declaration order
+    order <name> <name> ...        # optional: the names by level, when the
+                                   # levels differ from declaration order
     node <id> <varname> <lo> <hi>  # ids >= 2, children defined first
     root <id>
 """
@@ -51,7 +54,8 @@ Roots = int | Iterable[int] | None
 
 
 class VarInfo(NamedTuple):
-    """One registered variable; ``index`` is its position in the order."""
+    """One registered variable; ``index`` is its position in declaration
+    order, which ``VariableTable.level`` need not follow."""
 
     index: int
     name: str
@@ -62,26 +66,30 @@ class VarInfo(NamedTuple):
 class VariableTable:
     """Registry of decision and stochastic variables.
 
-    Insertion order is the variable order: smaller index means closer to
-    the root of every diagram built over this table.
+    Indices follow declaration order; each variable also has a level, its
+    place in the diagram order: a smaller level means closer to the root of
+    every diagram built over this table.  Levels follow declaration order
+    unless an ``order`` is given.
     """
 
     def __init__(self, declared: Sequence[tuple[str, str, float | None]] = (),
                  order: Sequence[str] | None = None, *, noun: str = "declared"):
-        """Register ``(name, kind, prob)`` declarations, in declaration order
-        or in ``order``, which must name every declared variable exactly
-        once; ``noun`` says what the variables are in that error."""
+        """Register ``(name, kind, prob)`` declarations in declaration order,
+        then, if ``order`` is given, give each variable its position there as
+        its level; ``order`` must name every declared variable exactly once,
+        and ``noun`` says what the variables are in that error."""
         self._infos: list[VarInfo] = []
         self._by_name: dict[str, int] = {}
+        self._level: list[int] = []  # by index
+        for name, kind, prob in declared:
+            self._add(name, kind, prob)
         if order is not None:
-            by_name = {decl[0]: decl for decl in declared}
-            if len(order) != len(declared) or by_name.keys() != set(order):
+            if len(order) != len(self._infos) or self._by_name.keys() != set(order):
                 raise ValueError(
                     f"order line must mention every {noun} variable exactly once"
                 )
-            declared = [by_name[name] for name in order]
-        for name, kind, prob in declared:
-            self._add(name, kind, prob)
+            for level, name in enumerate(order):
+                self._level[self._by_name[name]] = level
 
     def _add(self, name: str, kind: str, prob: float | None) -> int:
         if name in self._by_name:
@@ -96,6 +104,7 @@ class VariableTable:
         index = len(self._infos)
         self._infos.append(VarInfo(index, name, kind, prob))
         self._by_name[name] = index
+        self._level.append(index)
         return index
 
     def add_decision(self, name: str) -> int:
@@ -113,12 +122,22 @@ class VariableTable:
     def __eq__(self, other):
         if not isinstance(other, VariableTable):
             return NotImplemented
-        return [(i.name, i.kind, i.prob) for i in self._infos] == [
-            (i.name, i.kind, i.prob) for i in other._infos
-        ]
+        return self._level == other._level and [
+            (i.name, i.kind, i.prob) for i in self._infos
+        ] == [(i.name, i.kind, i.prob) for i in other._infos]
 
     def info(self, index: int) -> VarInfo:
         return self._infos[index]
+
+    def level(self, index: int) -> int:
+        return self._level[index]
+
+    def order(self) -> list[str]:
+        """Variable names by level, root side first."""
+        names = [""] * len(self._infos)
+        for info, level in zip(self._infos, self._level):
+            names[level] = info.name
+        return names
 
     def name(self, index: int) -> str:
         return self._infos[index].name
@@ -184,6 +203,7 @@ class Obdd:
         self.root = FALSE_NODE
         # parallel arrays; slots 0/1 are terminal sentinels
         self._var: list[int] = [-1, -1]
+        self._lvl: list[int] = [-1, -1]  # the level of each node's variable
         self._lo: list[int] = [-1, -1]
         self._hi: list[int] = [-1, -1]
         self._unique: dict[tuple[int, int, int], int] = {}
@@ -206,8 +226,8 @@ class Obdd:
         return self._hi[node]
 
     def level(self, node: int) -> int:
-        """Order index of the node's variable; terminals sit below all levels."""
-        return len(self.vars) if node < 2 else self._var[node]
+        """Level of the node's variable; terminals sit below all levels."""
+        return len(self.vars) if node < 2 else self._lvl[node]
 
     def _check_node(self, node: int) -> None:
         if not isinstance(node, int) or not 0 <= node < len(self._var):
@@ -221,7 +241,8 @@ class Obdd:
         self._check_node(hi)
         if not 0 <= var < len(self.vars):
             raise StructureError(f"variable index {var} not in table")
-        if var >= self.level(lo) or var >= self.level(hi):
+        level = self.vars.level(var)
+        if level >= self.level(lo) or level >= self.level(hi):
             raise StructureError(
                 f"variable {self.vars.name(var)!r} does not precede its children"
             )
@@ -237,6 +258,7 @@ class Obdd:
             return found
         node = len(self._var)
         self._var.append(var)
+        self._lvl.append(self.vars._level[var])
         self._lo.append(lo)
         self._hi.append(hi)
         self._unique[key] = node
@@ -244,9 +266,8 @@ class Obdd:
 
     def cube(self, cube: Cube) -> int:
         """Diagram of a single conjunction; monotone inputs only.  ``Cube``'s
-        literals are sorted and repeat-free, so the order holds."""
-        node = TRUE_NODE
-        for var, polarity in reversed(cube.literals):
+        literals are repeat-free, and are chained deepest level first."""
+        for var, polarity in cube.literals:
             if not 0 <= var < len(self.vars):
                 raise StructureError(f"cube references unknown variable {var}")
             if not polarity:
@@ -254,6 +275,8 @@ class Obdd:
                     f"negative literal on {self.vars.name(var)!r}: "
                     "only monotone formulas are accepted"
                 )
+        node = TRUE_NODE
+        for var in sorted(cube.vars(), key=self.vars._level.__getitem__, reverse=True):
             node = self._make(var, FALSE_NODE, node)
         return node
 
@@ -269,14 +292,16 @@ class Obdd:
         """Apply on an explicit stack, the one apply loop for both ops.  A
         task ``(a, b)`` asks for (a op b); ``(~var, key)`` makes the node of
         ``var`` from the lo and hi results on top of ``done`` and memoizes
-        it under ``key``.  Lo finishes before hi, so nodes are made in the
-        order of the recursive formulation.
+        it under ``key``.  The operand at the smaller level splits first.  Lo
+        finishes before hi, so nodes are made in the order of the recursive
+        formulation.
 
         Each op has its own memo, keyed by ``min(a, b) << 32 | max(a, b)``
         (node ids stay below 2**32); new nodes are hash-consed inline, not
         through ``_make``."""
         memo = self._apply_memo[op]
-        var_of, lo_of, hi_of, unique = self._var, self._lo, self._hi, self._unique
+        var_of, lvl_of, lo_of, hi_of = self._var, self._lvl, self._lo, self._hi
+        unique, level = self._unique, self.vars._level
         absorbing, neutral = (TRUE_NODE, FALSE_NODE) if op == OR else (FALSE_NODE, TRUE_NODE)
         tasks: list[tuple[int, int]] = [(a, b)]
         done: list[int] = []
@@ -293,7 +318,8 @@ class Obdd:
                     node = unique.get(triple)
                     if node is None:
                         node = unique[triple] = len(var_of)
-                        var_of.append(triple[0])
+                        var_of.append(~a)
+                        lvl_of.append(level[~a])
                         lo_of.append(lo)
                         hi_of.append(hi)
                 memo[b] = node
@@ -314,17 +340,17 @@ class Obdd:
                 emit(found)
                 continue
             # both operands are internal here
-            var_a, var_b = var_of[a], var_of[b]
-            if var_a == var_b:
-                push((~var_a, key))
+            lvl_a, lvl_b = lvl_of[a], lvl_of[b]
+            if lvl_a == lvl_b:
+                push((~var_of[a], key))
                 push((hi_of[a], hi_of[b]))
                 push((lo_of[a], lo_of[b]))
-            elif var_a < var_b:
-                push((~var_a, key))
+            elif lvl_a < lvl_b:
+                push((~var_of[a], key))
                 push((hi_of[a], b))
                 push((lo_of[a], b))
             else:
-                push((~var_b, key))
+                push((~var_of[b], key))
                 push((a, hi_of[b]))
                 push((a, lo_of[b]))
         return done[0]
@@ -369,7 +395,7 @@ class Obdd:
             for node in roots:
                 self._check_node(node)
             internal = sorted((n for n in self._reachable(roots) if n >= 2),
-                              key=lambda n: (self._var[n], n))
+                              key=lambda n: (self._lvl[n], n))
             rows = self._rows_cache[roots] = [
                 (node, self._var[node], self._lo[node], self._hi[node],
                  self.vars.info(self._var[node]).prob)
@@ -433,7 +459,7 @@ def validate(dd: Obdd, root: int | None = None) -> None:
         var, lo, hi = dd.var_of(node), dd.lo(node), dd.hi(node)
         if lo == hi:
             raise StructureError(f"node {node} is not reduced (lo == hi)")
-        if var >= dd.level(lo) or var >= dd.level(hi):
+        if dd.level(node) >= dd.level(lo) or dd.level(node) >= dd.level(hi):
             raise StructureError(f"node {node} violates the variable order")
         if (var, lo, hi) in triples:
             raise StructureError(f"node {node} duplicates another (var, lo, hi)")
@@ -546,7 +572,7 @@ def _canonical_ids(dd: Obdd, root: int | None = None) -> dict[int, int]:
     canon = {FALSE_NODE: FALSE_NODE, TRUE_NODE: TRUE_NODE}
     by_level: dict[int, list[int]] = {}
     for node in dd.internal_nodes(root):
-        by_level.setdefault(dd.var_of(node), []).append(node)
+        by_level.setdefault(dd.level(node), []).append(node)
     next_id = 2
     for level in sorted(by_level, reverse=True):
         for node in sorted(by_level[level], key=lambda n: (canon[dd.lo(n)], canon[dd.hi(n)])):
@@ -559,7 +585,9 @@ def dump_obdd(dd: Obdd, root: int | None = None) -> str:
     """Serialize to the exchange format, children before parents.
 
     Node ids are renumbered canonically, so isomorphic diagrams over equal
-    variable tables dump to identical text.
+    variable tables dump to identical text.  Variables are declared in index
+    order, followed by an ``order`` line exactly when their levels differ
+    from it, so ``load_obdd`` restores both.
     """
     if root is None:
         root = dd.root
@@ -569,6 +597,9 @@ def dump_obdd(dd: Obdd, root: int | None = None) -> str:
             lines.append(f"var {info.name} decision")
         else:
             lines.append(f"var {info.name} stochastic {info.prob!r}")
+    order = dd.vars.order()
+    if order != [info.name for info in dd.vars]:
+        lines.append("order " + " ".join(order))
     canon = _canonical_ids(dd, root)
     for node in sorted((n for n in canon if n >= 2), key=canon.get):
         lines.append(

@@ -42,7 +42,27 @@ class TestCompile:
         assert lines[0].startswith("query a->c: 12 internal nodes")
         dd = sc.load_obdd((out / "a-c.obdd").read_text())
         assert len(dd.internal_nodes()) == 12
-        assert [i.name for i in dd.vars] == PATH_ORDER
+        # the order file sets the levels; the variables keep declaration order
+        assert dd.vars.order() == PATH_ORDER
+        assert [i.name for i in dd.vars][:4] == ["t_ab", "d_ab", "t_ac", "d_ac"]
+
+    def test_files_load_with_compiled_levels(self, tmp_path, capsys):
+        # the order rule puts s-a and s-b above a-b, declared first
+        text = (
+            "node s\nnode a\nnode b\nnode t\n"
+            "edge a b 0.5\nedge s a 0.6\nedge b t 0.7\nedge s b 0.8\n"
+            "query s t\nquery a t\nobjective maximize\n"
+        )
+        src = tmp_path / "p.scop"
+        src.write_text(text)
+        assert main(["compile", str(src), "--out-dir", str(tmp_path)]) == 0
+        model = sc.parse_network(text)
+        assert model.vars.order()[:6] == ["t_sa", "d_sa", "t_sb", "d_sb", "t_ab", "d_ab"]
+        for query, term in zip(model.queries, sc.build_problem(model).objective):
+            written = (tmp_path / f"{query.source}-{query.target}.obdd").read_text()
+            dd = sc.load_obdd(written)
+            assert dd.vars == model.vars
+            assert sc.dump_obdd(dd) == sc.dump_obdd(term.obdd) == written
 
     def test_disconnected_query_root_zero(self, tmp_path, capsys):
         text = (
@@ -131,6 +151,15 @@ class TestPropagateCmd:
         assert main(argv + ["--fix", "x=0"]) == 1
         assert "conflicting values for 'x'" in capsys.readouterr().err
         assert main(argv + ["--fix", "x=true"]) == 0  # a repeated equal value is fine
+
+    def test_different_orders_exit_one(self, tmp_path, capsys):
+        # same variables, different levels: one store cannot hold both
+        body = "node 2 a 0 1\nroot 2\n"
+        first, second = tmp_path / "first.obdd", tmp_path / "second.obdd"
+        first.write_text("var a decision\nvar b decision\n" + body)
+        second.write_text("var a decision\nvar b decision\norder b a\n" + body)
+        assert main(["propagate", str(first), str(second), "--theta", "0.5"]) == 1
+        assert "different variable blocks" in capsys.readouterr().err
 
     def test_theta_outside_reward_range(self, choice_file, capsys):
         assert main(["propagate", str(choice_file), "--theta", "1.5"]) == 1

@@ -108,7 +108,7 @@ class TestParseNetwork:
         ordered = sc.with_order(net_model, PATH_ORDER)
         again = sc.parse_network(sc.format_model(ordered))
         assert again == ordered
-        assert [i.name for i in again.vars] == PATH_ORDER
+        assert again.vars.order() == PATH_ORDER
 
     def test_order_directive_in_file(self):
         text = (
@@ -116,7 +116,8 @@ class TestParseNetwork:
             "order d_ab t_ab\n"
         )
         model = sc.parse_network(text)
-        assert [i.name for i in model.vars] == ["d_ab", "t_ab"]
+        assert model.vars.order() == ["d_ab", "t_ab"]
+        assert [i.name for i in model.vars] == ["t_ab", "d_ab"]
 
     def test_order_must_cover_all(self):
         text = (
@@ -161,15 +162,100 @@ class TestParseNetwork:
             assert (ordered.stoch_var, ordered.decision_var) == (
                 parsed.stoch_var, parsed.decision_var)
             # a diagram file declaring its variables in edge order, with the
-            # same order line, registers them in the same sequence
+            # same order line, gives them the same levels
             query = ordered.queries[0]
             dump = sc.dump_obdd(sc.from_dnf(ordered.vars, sc.st_path_dnf(ordered, query)))
-            var_lines = sc.dump_obdd(sc.from_dnf(model.vars, [])).splitlines()[:-1]
-            body = [line for line in dump.splitlines() if not line.startswith("var ")]
+            var_lines = [line for line in dump.splitlines() if line.startswith("var ")]
+            body = [line for line in dump.splitlines()
+                    if not line.startswith(("var ", "order "))]
             dd = sc.load_obdd("\n".join(var_lines + [order_line] + body) + "\n")
-            assert [i.name for i in dd.vars] == order
+            assert dd.vars.order() == order
             assert dd.vars == ordered.vars
             assert sc.dump_obdd(dd) == dump
+
+
+class TestOrderRule:
+    def test_breadth_first_edge_levels(self):
+        # ranks from s: s 0, a 1, b 2, c 3, t 4; z, y and x are unreached
+        text = (
+            "node s\nnode a\nnode b\nnode c\nnode t\nnode z\nnode y\nnode x\n"
+            "edge b c 0.5\nedge s a 0.5\nedge a b 0.5\nedge z y 0.5\n"
+            "edge s b 0.5\nedge c t 0.5\nedge a c 0.5\nedge x z 0.5\n"
+            "query s t\nconstraint >= 0\n"
+        )
+        model = sc.parse_network(text)
+        assert model.order is None
+        assert model.vars.order() == [
+            "t_sa", "d_sa", "t_sb", "d_sb", "t_ab", "d_ab", "t_ac", "d_ac",
+            "t_bc", "d_bc", "t_ct", "d_ct", "t_zy", "d_zy", "t_xz", "d_xz",
+        ]
+        # indices stay in declaration order
+        assert [info.name for info in model.vars][:4] == ["t_bc", "d_bc", "t_sa", "d_sa"]
+        for i, edge in enumerate(model.network.edges):
+            assert model.stoch_var[edge.key()] == 2 * i
+            assert model.decision_var[edge.key()] == 2 * i + 1
+        assert sc.parse_network(sc.format_model(model)) == model
+
+    def test_same_events_as_declaration_order(self):
+        rng = random.Random(71)
+        for _ in range(30):
+            model = sc.parse_network(random_model_text(rng, rng.randint(1, 8)))
+            plain = sc.with_order(model, [info.name for info in model.vars])
+            for query in model.queries:
+                dd = sc.from_dnf(model.vars, sc.st_path_dnf(model, query))
+                ref = sc.from_dnf(plain.vars, sc.st_path_dnf(plain, query))
+                for bits in itertools.product([False, True], repeat=len(model.vars)):
+                    assignment = dict(enumerate(bits))
+                    assert dd.eval_bool(assignment) == ref.eval_bool(assignment)
+                for _ in range(10):
+                    fixed = {var: rng.random() < 0.5 for var in model.vars.decision_ids()
+                             if rng.random() < 0.5}
+                    assert sc.evaluate(dd, sc.DomainState(model.vars, fixed)) == pytest.approx(
+                        sc.evaluate(ref, sc.DomainState(plain.vars, fixed)), abs=1e-12)
+
+    def test_same_search_as_declaration_order(self):
+        """With probabilities k/8 on at most 12 edges every path weight, value
+        and drop is a multiple of 2**-36 below 2**14, so both orders compute
+        them exactly and equal drops tie exactly: the searches must agree bit
+        for bit.  With other probabilities they agree in verdict and value,
+        but drops that are equal in exact arithmetic can differ in their last
+        bits and send the two searches down different branches."""
+        rng = random.Random(73)
+        for _ in range(80):
+            n = rng.randint(3, 12)
+            text = random_model_text(rng, n)
+            dyadic = rng.random() < 0.5
+            if dyadic:
+                text = "".join(
+                    f"{line.rsplit(' ', 1)[0]} {rng.randint(1, 7) / 8}\n"
+                    if line.startswith("edge ") else line + "\n"
+                    for line in text.splitlines())
+            model = sc.parse_network(text)
+            plain = sc.with_order(model, [info.name for info in model.vars])
+            cardinality = rng.randint(1, n) if rng.random() < 0.7 else None
+            maximize, fraction = rng.random() < 0.5, rng.uniform(0.2, 0.9)
+            runs = []
+            for m in (model, plain):
+                problem = sc.build_problem(m)
+                problem.cardinality = cardinality
+                terms = problem.constraints[0].terms
+                if maximize:
+                    problem = sc.Problem(m.vars, [], cardinality, objective=terms)
+                    strategy, value, stats = sc.solve_opt(problem)
+                else:
+                    problem.constraints[0].theta = fraction * sum(
+                        t.reward * sc.evaluate(t.obdd, sc.DomainState(m.vars)) for t in terms)
+                    strategy, stats = sc.solve_sat(problem)
+                    value = None
+                runs.append((strategy, value, stats))
+            (strategy, value, stats), (ref_strategy, ref_value, ref_stats) = runs
+            assert (strategy is None) == (ref_strategy is None)
+            if maximize:
+                assert value == pytest.approx(ref_value, abs=1e-12)
+            if dyadic:
+                assert (strategy, value) == (ref_strategy, ref_value)
+                assert (stats.nodes_expanded, stats.backtracks, stats.incumbents) == (
+                    ref_stats.nodes_expanded, ref_stats.backtracks, ref_stats.incumbents)
 
 
 class TestPathEnumeration:
@@ -253,48 +339,77 @@ class TestPathEnumeration:
         assert strategy == {v: True for v in problem.vars.decision_ids()}
 
     def test_cycle_apply_deeper_than_recursion_limit(self):
-        # two 500-edge routes: OR-ing their cubes descends 2,000 levels in apply
+        # two 500-edge routes: OR-ing their cubes descends 2,000 levels in
+        # apply, in declaration order, where each route is one block
         n = 1000
         lines = [f"node v{i}" for i in range(n)]
         lines += [f"edge v{i} v{(i + 1) % n} 0.9" for i in range(n)]
         lines += ["query v0 v500", "constraint >= 0.0"]
+        lines += ["order " + " ".join(
+            f"{kind}_v{i}v{(i + 1) % n}" for i in range(n) for kind in "td")]
         problem = sc.build_problem(sc.parse_network("\n".join(lines) + "\n"))
         assert len(problem.constraints[0].terms[0].obdd.internal_nodes()) == 2 * n
         strategy, _ = sc.solve_sat(problem)
         assert strategy is not None
 
     def test_cube_order_matches_recursive_walk(self):
-        def recursive_cubes(model, query):
-            edges = model.network.edges
-            cubes, visited, path = [], {query.source}, []
-
-            def walk(at):
-                if at == query.target:
-                    literals = []
-                    for edge in path:
-                        literals.append((model.decision_var[edge.key()], True))
-                        literals.append((model.stoch_var[edge.key()], True))
-                    cubes.append(sc.Cube(tuple(literals)))
-                    return
-                for edge in edges:
-                    if at not in (edge.u, edge.v):
-                        continue
-                    neighbor = edge.v if edge.u == at else edge.u
-                    if neighbor not in visited:
-                        visited.add(neighbor)
-                        path.append(edge)
-                        walk(neighbor)
-                        path.pop()
-                        visited.remove(neighbor)
-
-            walk(query.source)
-            return cubes
-
         rng = random.Random(61)
         for _ in range(60):
             model = sc.parse_network(random_model_text(rng, rng.randint(1, 10)))
             for query in model.queries:
                 assert sc.st_path_dnf(model, query) == recursive_cubes(model, query)
+
+    def test_dead_ends_change_no_cube(self):
+        """Trees with two chords are mostly dead ends: the walk that skips
+        them finds the cubes of the walk over the whole tree, in its order."""
+        rng = random.Random(67)
+        for _ in range(40):
+            n = rng.randint(8, 60)
+            nodes = [f"v{i}" for i in range(n + 1)]
+            pairs = {(nodes[rng.randrange(i)], nodes[i]) for i in range(1, n + 1)}
+            while len(pairs) < n + 2:
+                u, v = rng.sample(nodes, 2)
+                if (v, u) not in pairs:
+                    pairs.add((u, v))
+            lines = [f"node {name}" for name in nodes]
+            lines += [f"edge {u} {v} 0.5" for u, v in sorted(pairs)]
+            lines += [f"query {s} {t}" for s, t in (rng.sample(nodes, 2) for _ in range(2))]
+            model = sc.parse_network("\n".join(lines + ["constraint >= 0"]) + "\n")
+            degree = {name: 0 for name in nodes}
+            for edge in model.network.edges:
+                degree[edge.u] += 1
+                degree[edge.v] += 1
+            assert sum(d == 1 for d in degree.values()) > 2
+            for query in model.queries:
+                assert sc.st_path_dnf(model, query) == recursive_cubes(model, query)
+
+
+def recursive_cubes(model, query):
+    """The path cubes of a recursive walk over every edge, unpruned."""
+    edges = model.network.edges
+    cubes, visited, path = [], {query.source}, []
+
+    def walk(at):
+        if at == query.target:
+            literals = []
+            for edge in path:
+                literals.append((model.decision_var[edge.key()], True))
+                literals.append((model.stoch_var[edge.key()], True))
+            cubes.append(sc.Cube(tuple(literals)))
+            return
+        for edge in edges:
+            if at not in (edge.u, edge.v):
+                continue
+            neighbor = edge.v if edge.u == at else edge.u
+            if neighbor not in visited:
+                visited.add(neighbor)
+                path.append(edge)
+                walk(neighbor)
+                path.pop()
+                visited.remove(neighbor)
+
+    walk(query.source)
+    return cubes
 
 
 class TestBuildProblem:

@@ -227,6 +227,53 @@ class TestFromDnf:
         sc.validate(dd)
 
 
+def with_shuffled_levels(rng: random.Random, table: sc.VariableTable):
+    """The same declarations as ``table``, levels in a random order; returns
+    the new table and that order."""
+    order = [info.name for info in table]
+    rng.shuffle(order)
+    declared = [(info.name, info.kind, info.prob) for info in table]
+    return sc.VariableTable(declared, order), order
+
+
+class TestLevels:
+    def test_order_sets_levels_not_indices(self):
+        declared = [("a", sc.DECISION, None), ("b", sc.STOCHASTIC, 0.5),
+                    ("c", sc.DECISION, None)]
+        table = sc.VariableTable(declared, ["c", "a", "b"])
+        assert [info.name for info in table] == ["a", "b", "c"]
+        assert [table.level(i) for i in range(3)] == [1, 2, 0]
+        assert table.order() == ["c", "a", "b"]
+        assert table != sc.VariableTable(declared)
+        assert table == sc.VariableTable(declared, ["c", "a", "b"])
+
+    def test_mk_node_compares_levels(self):
+        declared = [("a", sc.DECISION, None), ("b", sc.STOCHASTIC, 0.5),
+                    ("c", sc.DECISION, None)]
+        dd = sc.Obdd(sc.VariableTable(declared, ["c", "a", "b"]))
+        a, b, c = 0, 1, 2
+        n_a = dd.mk_node(a, 0, dd.mk_node(b, 0, 1))
+        assert dd.level(dd.mk_node(c, 0, n_a)) == 0
+        with pytest.raises(sc.StructureError, match="does not precede"):
+            dd.mk_node(a, 0, dd.mk_node(c, 0, 1))
+
+    def test_random_levels_match_truth_table(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            table, _ = with_shuffled_levels(
+                rng, make_table(rng, rng.randint(1, 5), rng.randint(1, 5)))
+            cubes = random_cubes(rng, table)
+            dd = sc.from_dnf(table, cubes)
+            sc.validate(dd)
+            levels = [dd.level(row[0]) for row in dd.rows()]
+            assert levels == sorted(levels)
+            for node in dd.internal_nodes():
+                assert dd.level(node) == table.level(dd.var_of(node))
+            for bits in itertools.product([False, True], repeat=len(table)):
+                assignment = dict(enumerate(bits))
+                assert dd.eval_bool(assignment) == dnf_truth(cubes, assignment)
+
+
 class TestCompactStore:
     """Compiled and loaded stores hold exactly the nodes reachable from the
     root, and compaction changes no structure: a raw store that ORs the same
@@ -310,6 +357,22 @@ class TestExchangeFormat:
             text = sc.dump_obdd(dd)
             assert sc.dump_obdd(sc.load_obdd(text)) == text
 
+    def test_order_line_exactly_when_levels_differ(self):
+        rng = random.Random(23)
+        for _ in range(30):
+            plain = make_table(rng, 3, 3)
+            table, order = with_shuffled_levels(rng, plain)
+            cubes = random_cubes(rng, table)
+            for vt, lines in ((plain, []), (table, ["order " + " ".join(order)])):
+                text = sc.dump_obdd(sc.from_dnf(vt, cubes))
+                if vt.order() == [info.name for info in vt]:
+                    lines = []
+                assert [line for line in text.splitlines()
+                        if line.startswith("order ")] == lines
+                again = sc.load_obdd(text)
+                assert again.vars == vt
+                assert sc.dump_obdd(again) == text
+
     def test_forced_choice_file_shape(self, choice):
         assert len(choice.dd.internal_nodes()) == 6
         assert choice.vt.prob(choice.vt.index("r")) == 0.9
@@ -348,7 +411,8 @@ class TestExchangeFormat:
             "node 2 a 0 1\nnode 3 b 0 2\nroot 3\n"
         )
         dd = sc.load_obdd(text)
-        assert [i.name for i in dd.vars] == ["b", "a"]
+        assert dd.vars.order() == ["b", "a"]
+        assert [i.name for i in dd.vars] == ["a", "b"]
 
     def test_bad_order_line_named_at_its_line(self):
         text = "var a decision\nvar b decision\norder a\nnode 2 a 0 1\nroot 2\n"

@@ -235,7 +235,7 @@ class TestScratchIncremental:
     def test_fix_false_deepest_decision(self, path_dd):
         domains, scratch = fresh_scratch(path_dd)
         var = path_dd.vars.index("d_ab")  # deepest level
-        level = var
+        level = path_dd.vars.level(var)
         pi_before = list(scratch.pi)
         val_before = list(scratch.val)
         sc.incremental_fix(scratch, var, False)
