@@ -176,15 +176,12 @@ def cmd_propagate(args) -> int:
     fixed = _parse_fixes(args.fix, table)
     initial = DomainState(table, fixed=fixed)
 
+    dc_result = dc_propagate(terms, initial.copy(), args.theta)
     # per-variable bound drops under the initial domains
     drops = dict.fromkeys(initial.free_vars(), 0.0)
-    drops.update(constraint_scratch(terms, initial).drops())
-
-    dc_domains = initial.copy()
-    dc_result = dc_propagate(terms, dc_domains, args.theta)
-    base_domains = initial.copy()
+    drops.update(dc_result.drops)
     system = decompose(terms, args.theta)
-    base = bounds_propagate(system, base_domains)
+    base = bounds_propagate(system, initial.copy())
 
     def fixes_text(fixes):
         return " ".join(f"{table.name(v)}={int(val)}" for v, val in fixes) or "(none)"

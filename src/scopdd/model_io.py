@@ -13,9 +13,10 @@ The problem file format is line oriented (``#`` starts a comment):
 Each edge (u, v) contributes a stochastic variable ``t_uv`` carrying the
 edge probability and a decision variable ``d_uv`` that selects the edge.
 They are registered interleaved, t before d, in edge declaration order, so
-edge i's variables have indices 2i and 2i + 1.  The diagram levels follow
-an ``order`` line naming each variable once; without one they follow the
-order rule: a breadth-first search from the first query's source, over
+edge i's variables have indices 2i and 2i + 1; the model keeps no other map
+from edges to variables.  The diagram levels follow an ``order`` line
+naming each variable once; without one they follow the order rule: a
+breadth-first search from the first query's source, over
 neighbours in edge declaration order, ranks the nodes, and the edges are
 sorted by (rank of the later endpoint, rank of the earlier endpoint,
 declaration index), with unreached endpoints ranked last; each edge's t
@@ -78,8 +79,6 @@ class ParsedModel:
     maximize: bool = False
     theta: float | None = None
     order: list[str] | None = None  # the file's order line, if any
-    stoch_var: dict[frozenset, int] = field(default_factory=dict, compare=False)
-    decision_var: dict[frozenset, int] = field(default_factory=dict, compare=False)
     # node -> (neighbour, edge index) pairs in edge declaration order
     adjacency: dict[str, list[tuple[str, int]]] = field(
         default_factory=dict, compare=False, repr=False)
@@ -212,19 +211,16 @@ def with_order(model: ParsedModel, order: list[str]) -> ParsedModel:
 
 
 def _with_edge_variables(model: ParsedModel, order_line: int | None = None) -> ParsedModel:
-    """Register the model's edge variables, with levels from its order if it
-    has one and from the order rule if not, map each edge to them and build
-    the model's adjacency; returns the model."""
+    """Register the model's edge variables, edge i's at indices 2i and
+    2i + 1, with levels from its order if it has one and from the order
+    rule if not, and build the model's adjacency; returns the model."""
     model.adjacency = adjacency = {name: [] for name in model.network.nodes}
     declared: list[tuple[str, str, float | None]] = []
-    model.stoch_var, model.decision_var = {}, {}
     for i, edge in enumerate(model.network.edges):
         adjacency[edge.u].append((edge.v, i))
         adjacency[edge.v].append((edge.u, i))
         t_name, d_name = edge_var_names(edge.u, edge.v)
         declared += [(t_name, STOCHASTIC, edge.prob), (d_name, DECISION, None)]
-        key = edge.key()
-        model.stoch_var[key], model.decision_var[key] = 2 * i, 2 * i + 1
     order = model.order
     if order is None:
         order = [declared[var][0] for i in _rule_edge_order(model) for var in (2 * i, 2 * i + 1)]

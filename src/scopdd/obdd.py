@@ -1,14 +1,15 @@
 """Reduced ordered binary decision diagrams over decision and stochastic variables.
 
-A diagram lives in an append-only node store of (var, lo, hi) triples with
-hash-consing: structurally equal subgraphs share one node id, so isomorphism
-within a store reduces to id equality.  Ids 0 and 1 are the false/true
-terminals; all other ids are internal nodes.  Variables are kept in a
-separate registry, indexed in declaration order; each also has a level,
+A diagram lives in an append-only node store of (level, lo, hi) triples
+with hash-consing: structurally equal subgraphs share one node id, so
+isomorphism within a store reduces to id equality.  Ids 0 and 1 are the
+false/true terminals; all other ids are internal nodes.  Variables are kept
+in a separate registry, indexed in declaration order; each also has a level,
 its place in the global variable order, and every node's level is strictly
-smaller than the levels of its internal children.  Nodes, cubes and rows
-name variables by index, and the store keeps each node's level beside its
-variable, which ``apply`` compares and ``rows`` sorts by.
+smaller than the levels of its internal children.  A node is labelled by its
+level alone, which ``apply`` compares and ``rows`` sorts by; the registry
+maps each level back to its variable, so cubes, rows and ``var_of`` still
+name variables by index.
 
 ``from_dnf`` makes one cube diagram per cube and ORs them as a balanced
 tree, neighbours pairwise, so each ``apply`` joins two disjunctions of like
@@ -69,7 +70,8 @@ class VariableTable:
     Indices follow declaration order; each variable also has a level, its
     place in the diagram order: a smaller level means closer to the root of
     every diagram built over this table.  Levels follow declaration order
-    unless an ``order`` is given.
+    unless an ``order`` is given.  The table keeps the map both ways: the
+    level of each index and the index at each level.
     """
 
     def __init__(self, declared: Sequence[tuple[str, str, float | None]] = (),
@@ -81,6 +83,7 @@ class VariableTable:
         self._infos: list[VarInfo] = []
         self._by_name: dict[str, int] = {}
         self._level: list[int] = []  # by index
+        self._by_level: list[int] = []  # the index at each level
         for name, kind, prob in declared:
             self._add(name, kind, prob)
         if order is not None:
@@ -88,8 +91,9 @@ class VariableTable:
                 raise ValueError(
                     f"order line must mention every {noun} variable exactly once"
                 )
-            for level, name in enumerate(order):
-                self._level[self._by_name[name]] = level
+            self._by_level = [self._by_name[name] for name in order]
+            for level, index in enumerate(self._by_level):
+                self._level[index] = level
 
     def _add(self, name: str, kind: str, prob: float | None) -> int:
         if name in self._by_name:
@@ -105,6 +109,7 @@ class VariableTable:
         self._infos.append(VarInfo(index, name, kind, prob))
         self._by_name[name] = index
         self._level.append(index)
+        self._by_level.append(index)
         return index
 
     def add_decision(self, name: str) -> int:
@@ -122,7 +127,7 @@ class VariableTable:
     def __eq__(self, other):
         if not isinstance(other, VariableTable):
             return NotImplemented
-        return self._level == other._level and [
+        return self._by_level == other._by_level and [
             (i.name, i.kind, i.prob) for i in self._infos
         ] == [(i.name, i.kind, i.prob) for i in other._infos]
 
@@ -134,10 +139,7 @@ class VariableTable:
 
     def order(self) -> list[str]:
         """Variable names by level, root side first."""
-        names = [""] * len(self._infos)
-        for info, level in zip(self._infos, self._level):
-            names[level] = info.name
-        return names
+        return [self._infos[index].name for index in self._by_level]
 
     def name(self, index: int) -> str:
         return self._infos[index].name
@@ -202,7 +204,6 @@ class Obdd:
         self.vars = variables
         self.root = FALSE_NODE
         # parallel arrays; slots 0/1 are terminal sentinels
-        self._var: list[int] = [-1, -1]
         self._lvl: list[int] = [-1, -1]  # the level of each node's variable
         self._lo: list[int] = [-1, -1]
         self._hi: list[int] = [-1, -1]
@@ -214,10 +215,11 @@ class Obdd:
     # -- store access -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._var)
+        return len(self._lvl)
 
     def var_of(self, node: int) -> int:
-        return self._var[node]
+        """Index of the node's variable; -1 for a terminal."""
+        return -1 if node < 2 else self.vars._by_level[self._lvl[node]]
 
     def lo(self, node: int) -> int:
         return self._lo[node]
@@ -230,7 +232,7 @@ class Obdd:
         return len(self.vars) if node < 2 else self._lvl[node]
 
     def _check_node(self, node: int) -> None:
-        if not isinstance(node, int) or not 0 <= node < len(self._var):
+        if not isinstance(node, int) or not 0 <= node < len(self._lvl):
             raise StructureError(f"node id {node!r} does not belong to this store")
 
     # -- construction -------------------------------------------------
@@ -246,19 +248,19 @@ class Obdd:
             raise StructureError(
                 f"variable {self.vars.name(var)!r} does not precede its children"
             )
-        return self._make(var, lo, hi)
+        return self._make(level, lo, hi)
 
-    def _make(self, var: int, lo: int, hi: int) -> int:
-        """``mk_node`` without the checks, for ids this store made itself."""
+    def _make(self, level: int, lo: int, hi: int) -> int:
+        """``mk_node`` without the checks, for ids this store made itself;
+        takes the level of the node's variable."""
         if lo == hi:
             return lo
-        key = (var, lo, hi)
+        key = (level, lo, hi)
         found = self._unique.get(key)
         if found is not None:
             return found
-        node = len(self._var)
-        self._var.append(var)
-        self._lvl.append(self.vars._level[var])
+        node = len(self._lvl)
+        self._lvl.append(level)
         self._lo.append(lo)
         self._hi.append(hi)
         self._unique[key] = node
@@ -276,8 +278,8 @@ class Obdd:
                     "only monotone formulas are accepted"
                 )
         node = TRUE_NODE
-        for var in sorted(cube.vars(), key=self.vars._level.__getitem__, reverse=True):
-            node = self._make(var, FALSE_NODE, node)
+        for level in sorted(map(self.vars._level.__getitem__, cube.vars()), reverse=True):
+            node = self._make(level, FALSE_NODE, node)
         return node
 
     def apply(self, op: str, a: int, b: int) -> int:
@@ -290,8 +292,8 @@ class Obdd:
 
     def _apply(self, op: str, a: int, b: int) -> int:
         """Apply on an explicit stack, the one apply loop for both ops.  A
-        task ``(a, b)`` asks for (a op b); ``(~var, key)`` makes the node of
-        ``var`` from the lo and hi results on top of ``done`` and memoizes
+        task ``(a, b)`` asks for (a op b); ``(~level, key)`` makes a node at
+        ``level`` from the lo and hi results on top of ``done`` and memoizes
         it under ``key``.  The operand at the smaller level splits first.  Lo
         finishes before hi, so nodes are made in the order of the recursive
         formulation.
@@ -300,15 +302,14 @@ class Obdd:
         (node ids stay below 2**32); new nodes are hash-consed inline, not
         through ``_make``."""
         memo = self._apply_memo[op]
-        var_of, lvl_of, lo_of, hi_of = self._var, self._lvl, self._lo, self._hi
-        unique, level = self._unique, self.vars._level
+        lvl_of, lo_of, hi_of, unique = self._lvl, self._lo, self._hi, self._unique
         absorbing, neutral = (TRUE_NODE, FALSE_NODE) if op == OR else (FALSE_NODE, TRUE_NODE)
         tasks: list[tuple[int, int]] = [(a, b)]
         done: list[int] = []
         push, pop, emit, take = tasks.append, tasks.pop, done.append, done.pop
         while tasks:
             a, b = pop()
-            if a < 0:  # (~var, key): make the node
+            if a < 0:  # (~level, key): make the node
                 hi = take()
                 lo = take()
                 if lo == hi:
@@ -317,9 +318,8 @@ class Obdd:
                     triple = (~a, lo, hi)
                     node = unique.get(triple)
                     if node is None:
-                        node = unique[triple] = len(var_of)
-                        var_of.append(~a)
-                        lvl_of.append(level[~a])
+                        node = unique[triple] = len(lvl_of)
+                        lvl_of.append(~a)
                         lo_of.append(lo)
                         hi_of.append(hi)
                 memo[b] = node
@@ -342,15 +342,15 @@ class Obdd:
             # both operands are internal here
             lvl_a, lvl_b = lvl_of[a], lvl_of[b]
             if lvl_a == lvl_b:
-                push((~var_of[a], key))
+                push((~lvl_a, key))
                 push((hi_of[a], hi_of[b]))
                 push((lo_of[a], lo_of[b]))
             elif lvl_a < lvl_b:
-                push((~var_of[a], key))
+                push((~lvl_a, key))
                 push((hi_of[a], b))
                 push((lo_of[a], b))
             else:
-                push((~var_of[b], key))
+                push((~lvl_b, key))
                 push((a, hi_of[b]))
                 push((a, lo_of[b]))
         return done[0]
@@ -394,13 +394,12 @@ class Obdd:
         if rows is None:
             for node in roots:
                 self._check_node(node)
-            internal = sorted((n for n in self._reachable(roots) if n >= 2),
-                              key=lambda n: (self._lvl[n], n))
-            rows = self._rows_cache[roots] = [
-                (node, self._var[node], self._lo[node], self._hi[node],
-                 self.vars.info(self._var[node]).prob)
-                for node in internal
-            ]
+            lvl_of, by_level, infos = self._lvl, self.vars._by_level, self.vars._infos
+            rows = self._rows_cache[roots] = []
+            for node in sorted((n for n in self._reachable(roots) if n >= 2),
+                               key=lambda n: (lvl_of[n], n)):
+                var = by_level[lvl_of[node]]
+                rows.append((node, var, self._lo[node], self._hi[node], infos[var].prob))
         return rows
 
     def _copy(self, source: "Obdd", root: int) -> int:
@@ -409,7 +408,7 @@ class Obdd:
         ``root``.  Hash-consing merges each with an equal node already here."""
         new_id = {FALSE_NODE: FALSE_NODE, TRUE_NODE: TRUE_NODE}
         for node in sorted(n for n in source._reachable((root,)) if n >= 2):
-            new_id[node] = self._make(source._var[node], new_id[source._lo[node]],
+            new_id[node] = self._make(source._lvl[node], new_id[source._lo[node]],
                                       new_id[source._hi[node]])
         return new_id[root]
 
@@ -426,7 +425,7 @@ class Obdd:
         node = self.root if root is None else root
         self._check_node(node)
         while node >= 2:
-            var = self._var[node]
+            var = self.var_of(node)
             if var not in assignment:
                 raise ValueError(f"variable {self.vars.name(var)!r} is unassigned")
             node = self._hi[node] if assignment[var] else self._lo[node]
@@ -537,7 +536,7 @@ def load_obdd(text: str) -> Obdd:
                 raise ParseError(f"undefined node id {exc.args[0]}", lineno) from None
             if lo == hi:
                 raise ParseError("node is not reduced (lo == hi)", lineno)
-            if (var, lo, hi) in dd._unique:
+            if (table.level(var), lo, hi) in dd._unique:
                 raise ParseError("duplicate node structure (var, lo, hi)", lineno)
             try:
                 id_map[file_id] = dd.mk_node(var, lo, hi)

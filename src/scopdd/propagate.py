@@ -67,8 +67,9 @@ class PropagationResult:
     computes one, and ``visits`` counts instrumented node visits.
     ``drops`` maps each free variable that labels a node to the drop of
     ``bound`` were it fixed false, as read before the call's own fixes
-    (``dc_propagate``), or summed over the constraints at the fixpoint
-    and keyed by the variables still free (``propagation_loop``).
+    (``dc_propagate``, also on ``FAILED``), or summed over the constraints
+    at the fixpoint and keyed by the variables still free
+    (``propagation_loop``, on ``OK`` only).
     """
 
     status: str
@@ -198,7 +199,8 @@ def dc_propagate(
     it reads drops from.  Without it one is built, and the call counts its
     two sweeps plus one visit per free variable.  Drops are read only for
     the free variables that label a node: any other variable's drop is
-    zero, so it is never forced.  An OK result carries the drops.
+    zero, so it is never forced.  The result carries the drops, also when
+    it is ``FAILED``.
     """
     _check_terms(terms, domains)
     fresh = scratch is None
@@ -212,7 +214,7 @@ def dc_propagate(
         visits = sum(len(scratch.var_nodes[var]) for var in drop)
 
     if bound < theta - eps:
-        return PropagationResult(FAILED, bound=bound, visits=visits)
+        return PropagationResult(FAILED, bound=bound, visits=visits, drops=drop)
     fixed = []
     for var in sorted(drop):
         if bound - drop[var] < theta - eps:

@@ -143,6 +143,63 @@ class TestPropagateCmd:
         assert record["bound"] == pytest.approx(0.6, abs=1e-12)
         assert record["drops"]["y"] == pytest.approx(0.33, abs=1e-12)
 
+    @pytest.mark.parametrize("extra, code, text, record", [
+        (["--theta", "0.4"], 0,
+         "F = 0.600000 (theta = 0.4)\ndelta x = 0.000000\ndelta y = 0.330000\n"
+         "dc:       status=ok fixed: y=1\nbaseline: status=ok fixed: (none)\n"
+         "          v(y#4) in [0.000000, 0.600000]\n"
+         "          v(y#5) in [0.300000, 0.600000]\n"
+         "          v(x#6) in [0.377778, 0.600000]\n",
+         {"theta": 0.4, "bound": 0.6, "drops": {"x": 0.0, "y": 0.33},
+          "dc": {"status": "ok", "fixed": {"y": 1}, "visits": 14},
+          "baseline": {"status": "ok", "fixed": {}, "visits": 14,
+                       "intervals": {"v(y#4)": [0.0, 0.6], "v(y#5)": [0.3, 0.6],
+                                     "v(x#6)": [0.37777777666666673, 0.6]},
+                       "root_interval": [0.33999999900000005, 0.6]}}),
+        (["--theta", "0.4", "--fix", "x=0"], 0,
+         "F = 0.600000 (theta = 0.4)\ndelta y = 0.600000\n"
+         "dc:       status=ok fixed: y=1\nbaseline: status=ok fixed: y=1\n"
+         "          v(y#4) in [0.600000, 0.600000]\n"
+         "          v(y#5) in [0.600000, 0.600000]\n"
+         "          v(x#6) in [0.600000, 0.600000]\n",
+         {"theta": 0.4, "bound": 0.6, "drops": {"y": 0.6},
+          "dc": {"status": "ok", "fixed": {"y": 1}, "visits": 13},
+          "baseline": {"status": "ok", "fixed": {"y": 1}, "visits": 21,
+                       "intervals": {"v(y#4)": [0.6, 0.6], "v(y#5)": [0.6, 0.6],
+                                     "v(x#6)": [0.6, 0.6]},
+                       "root_interval": [0.6, 0.6]}}),
+        (["--theta", "0.7"], 2,
+         "F = 0.600000 (theta = 0.7)\ndelta x = 0.000000\ndelta y = 0.330000\n"
+         "dc:       status=failed fixed: (none)\nbaseline: status=failed fixed: (none)\n"
+         "          v(y#4) in [0.000000, 0.600000]\n"
+         "          v(y#5) in [0.300000, 0.600000]\n"
+         "          v(x#6) in [0.000000, 0.600000]\n",
+         {"theta": 0.7, "bound": 0.6, "drops": {"x": 0.0, "y": 0.33},
+          "dc": {"status": "failed", "fixed": {}, "visits": 14},
+          "baseline": {"status": "failed", "fixed": {}, "visits": 4,
+                       "intervals": {"v(y#4)": [0.0, 0.6], "v(y#5)": [0.3, 0.6],
+                                     "v(x#6)": [0.0, 0.6]},
+                       "root_interval": [0.0, 0.6]}}),
+    ])
+    def test_pinned_output_from_one_scratch(self, choice_file, capsys, monkeypatch,
+                                            extra, code, text, record):
+        # the drops printed, also those of a failed run, are the ones
+        # dc_propagate read: each call builds the constraint's scratch once
+        built = []
+        init = sc.PropagationScratch.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sc.PropagationScratch, "__init__", counting_init)
+        argv = ["propagate", str(choice_file)] + extra
+        assert main(argv) == code
+        assert capsys.readouterr().out == text
+        assert main(argv + ["--json"]) == code
+        assert json.loads(capsys.readouterr().out) == record
+        assert len(built) == 2
+
     def test_unknown_fix_name(self, choice_file, capsys):
         assert main(["propagate", str(choice_file), "--theta", "0.4", "--fix", "q=1"]) == 1
 

@@ -159,8 +159,6 @@ class TestParseNetwork:
             ordered = sc.with_order(model, order)
             parsed = sc.parse_network(text + order_line + "\n")
             assert ordered == parsed
-            assert (ordered.stoch_var, ordered.decision_var) == (
-                parsed.stoch_var, parsed.decision_var)
             # a diagram file declaring its variables in edge order, with the
             # same order line, gives them the same levels
             query = ordered.queries[0]
@@ -192,8 +190,8 @@ class TestOrderRule:
         # indices stay in declaration order
         assert [info.name for info in model.vars][:4] == ["t_bc", "d_bc", "t_sa", "d_sa"]
         for i, edge in enumerate(model.network.edges):
-            assert model.stoch_var[edge.key()] == 2 * i
-            assert model.decision_var[edge.key()] == 2 * i + 1
+            assert model.vars.name(2 * i) == f"t_{edge.u}{edge.v}"
+            assert model.vars.name(2 * i + 1) == f"d_{edge.u}{edge.v}"
         assert sc.parse_network(sc.format_model(model)) == model
 
     def test_same_events_as_declaration_order(self):
@@ -392,18 +390,17 @@ def recursive_cubes(model, query):
     def walk(at):
         if at == query.target:
             literals = []
-            for edge in path:
-                literals.append((model.decision_var[edge.key()], True))
-                literals.append((model.stoch_var[edge.key()], True))
+            for i in path:
+                literals += [(2 * i + 1, True), (2 * i, True)]
             cubes.append(sc.Cube(tuple(literals)))
             return
-        for edge in edges:
+        for i, edge in enumerate(edges):
             if at not in (edge.u, edge.v):
                 continue
             neighbor = edge.v if edge.u == at else edge.u
             if neighbor not in visited:
                 visited.add(neighbor)
-                path.append(edge)
+                path.append(i)
                 walk(neighbor)
                 path.pop()
                 visited.remove(neighbor)

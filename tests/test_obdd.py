@@ -260,18 +260,43 @@ class TestLevels:
     def test_random_levels_match_truth_table(self):
         rng = random.Random(19)
         for _ in range(40):
-            table, _ = with_shuffled_levels(
+            table, order = with_shuffled_levels(
                 rng, make_table(rng, rng.randint(1, 5), rng.randint(1, 5)))
             cubes = random_cubes(rng, table)
             dd = sc.from_dnf(table, cubes)
             sc.validate(dd)
             levels = [dd.level(row[0]) for row in dd.rows()]
             assert levels == sorted(levels)
-            for node in dd.internal_nodes():
+            for node, var, lo, hi, w in dd.rows():
                 assert dd.level(node) == table.level(dd.var_of(node))
+                assert (var, lo, hi) == (dd.var_of(node), dd.lo(node), dd.hi(node))
+                assert table.name(var) == order[dd.level(node)]
+                info = table.info(var)
+                assert w == (info.prob if info.kind == sc.STOCHASTIC else None)
             for bits in itertools.product([False, True], repeat=len(table)):
                 assignment = dict(enumerate(bits))
                 assert dd.eval_bool(assignment) == dnf_truth(cubes, assignment)
+
+    def test_variables_added_after_an_order(self):
+        # an added variable takes the next level, below every ordered one
+        declared = [("a", sc.DECISION, None), ("b", sc.STOCHASTIC, 0.5)]
+        table = sc.VariableTable(declared, ["b", "a"])
+        c = table.add_stochastic("c", 0.25)
+        d = table.add_decision("d")
+        assert (c, d) == (2, 3)
+        assert [table.level(i) for i in range(4)] == [1, 0, 2, 3]
+        assert table.order() == ["b", "a", "c", "d"]
+        dd = sc.Obdd(table)
+        n_d = dd.mk_node(d, 0, 1)
+        n_c = dd.mk_node(c, n_d, 1)
+        n_a = dd.mk_node(0, 0, n_c)
+        root = dd.mk_node(1, n_a, n_c)
+        assert [(dd.var_of(n), dd.level(n)) for n in (n_d, n_c, n_a, root)] == \
+            [(d, 3), (c, 2), (0, 1), (1, 0)]
+        assert dd.rows(root) == [
+            (root, 1, n_a, n_c, 0.5), (n_a, 0, 0, n_c, None),
+            (n_c, c, n_d, 1, 0.25), (n_d, d, 0, 1, None),
+        ]
 
 
 class TestCompactStore:
@@ -396,6 +421,18 @@ class TestExchangeFormat:
         text = "var a decision\nnode 2 a 1 1\nroot 2\n"
         with pytest.raises(sc.ParseError, match="not reduced"):
             sc.load_obdd(text)
+
+    @pytest.mark.parametrize("order", ["", "order b a\n"])
+    def test_duplicate_structure_rejected(self, order):
+        header = f"var a decision\nvar b stochastic 0.5\n{order}"
+        # with the order line, a's index is b's level and b's index a's
+        dd = sc.load_obdd(header + "node 2 a 0 1\nnode 3 b 0 1\nroot 3\n")
+        assert len(dd) == 3
+        for var in "ab":
+            text = header + f"node 2 {var} 0 1\nnode 3 {var} 0 1\nroot 3\n"
+            line = text.count("\n") - 1
+            with pytest.raises(sc.ParseError, match=f"line {line}: duplicate node structure"):
+                sc.load_obdd(text)
 
     def test_order_violation_named_line(self):
         text = (
