@@ -149,25 +149,22 @@ class BoundsResult:
     converged: bool = True
 
 
-def bounds_propagate(
-    system: LinearSystem,
-    domains: DomainState,
-    *,
-    eps: float = THRESHOLD_EPS,
-) -> BoundsResult:
+def bounds_propagate(system: LinearSystem, domains: DomainState) -> BoundsResult:
     """Interval (bounds) propagation over the decomposed system.
 
     Alternates forward evaluation of the node equations, tightening through
-    the root inequality, and pruning of binary decision domains when one
-    branch of a node equation cannot meet its required interval.  Runs to a
-    fixpoint, capped at 100 iterations per equation (hitting the cap is
-    reported via ``converged``, not an error).  An empty interval signals
-    failure, in which case any pruning done on the way is rolled back.
+    the root inequality (met within ``THRESHOLD_EPS``), and pruning of binary
+    decision domains when one branch of a node equation cannot meet its
+    required interval.  Runs to a fixpoint, capped at 100 iterations per
+    equation (hitting the cap is reported via ``converged``, not an error).
+    An empty interval signals failure, in which case any pruning done on
+    the way is rolled back.
     """
     iv: dict[NodeKey, list[float]] = {eq.key: [0.0, 1.0] for eq in system.decision_eqs}
     visits = 0
     fixed: list[tuple[int, bool]] = []
     root_iv = (0.0, 1.0)
+    floor = system.theta - THRESHOLD_EPS
     entry_mark = domains.mark()
 
     def interval(expr: Affine) -> tuple[float, float]:
@@ -230,9 +227,9 @@ def bounds_propagate(
             # root inequality
             visits += 1
             root_iv = interval(system.root_expr)
-            if root_iv[1] < system.theta - eps:
+            if root_iv[1] < floor:
                 raise _EmptyInterval()
-            changed |= tighten_through(system.root_expr, system.theta - eps, root_iv[1])
+            changed |= tighten_through(system.root_expr, floor, root_iv[1])
             # backward through the node equations
             for eq in system.decision_eqs:
                 visits += 1

@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve a problem file")
     p.add_argument("problem", help="problem file")
-    p.add_argument("--delta", type=float, default=1e-9,
+    p.add_argument("--delta", type=float, default=solve_opt.__kwdefaults__["delta"],
                    help="least improvement over the incumbent (finite, >= 0)")
     p.add_argument("--theta", type=float, help="override the constraint threshold")
     p.add_argument("--cardinality", type=int, help="override the cardinality bound")

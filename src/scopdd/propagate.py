@@ -37,8 +37,8 @@ from .evaluate import (BOTH, FALSE_ONLY, DomainState, _check_compatible, _value_
                        sweep_values)
 from .obdd import Obdd
 
-# slack for threshold comparisons: F >= theta - EPS counts as satisfiable,
-# so boundary instances are not order dependent under float arithmetic
+# the one slack of every bound test: a bound F meets theta when
+# F >= theta - THRESHOLD_EPS, so rounding never decides a verdict
 THRESHOLD_EPS = 1e-9
 
 OK = "ok"
@@ -183,15 +183,14 @@ def dc_propagate(
     domains: DomainState,
     theta: float,
     *,
-    eps: float = THRESHOLD_EPS,
     scratch: "PropagationScratch | None" = None,
 ) -> PropagationResult:
     """Enforce domain consistency on the threshold constraint.
 
     Computes the optimistic bound F (all free variables counted true) and
-    the per-variable drops; fails when F < theta - eps, otherwise fixes to
-    true every free variable whose removal would push the bound below the
-    threshold.  One pass is a fixpoint: fixing a variable to true changes
+    the per-variable drops; fails when F < theta - THRESHOLD_EPS, otherwise
+    fixes to true every free variable whose removal would push the bound
+    below that.  One pass is a fixpoint: fixing a variable to true changes
     neither F nor any other variable's drop.
 
     ``scratch`` (the terms' ``constraint_scratch``, consistent with
@@ -213,11 +212,11 @@ def dc_propagate(
     else:
         visits = sum(len(scratch.var_nodes[var]) for var in drop)
 
-    if bound < theta - eps:
+    if bound < theta - THRESHOLD_EPS:
         return PropagationResult(FAILED, bound=bound, visits=visits, drops=drop)
     fixed = []
     for var in sorted(drop):
-        if bound - drop[var] < theta - eps:
+        if bound - drop[var] < theta - THRESHOLD_EPS:
             domains.fix(var, True)
             fixed.append((var, True))
     return PropagationResult(OK, fixed=fixed, bound=bound, visits=visits, drops=drop)
@@ -227,20 +226,18 @@ def naive_propagate(
     terms: list[ConstraintTerm],
     domains: DomainState,
     theta: float,
-    *,
-    eps: float = THRESHOLD_EPS,
 ) -> PropagationResult:
     """Domain consistency by re-evaluation: for each free variable, score
     the assignment with that variable false and every other free variable
-    true; prune false when the score misses the threshold.  Same contract
-    as ``dc_propagate``, O(m*n) visits; kept as the oracle."""
+    true; prune false when the score is below theta - THRESHOLD_EPS.  Same
+    contract as ``dc_propagate``, O(m*n) visits; kept as the oracle."""
     _check_terms(terms, domains)
     visits = 0
     bound = 0.0
     for term in terms:
         bound += term.reward * sweep_values(term.obdd, domains)[term.obdd.root]
         visits += len(term.obdd.internal_nodes())
-    if bound < theta - eps:
+    if bound < theta - THRESHOLD_EPS:
         return PropagationResult(FAILED, bound=bound, visits=visits)
     fixed = []
     for var in domains.free_vars():
@@ -251,7 +248,7 @@ def naive_propagate(
             score += term.reward * sweep_values(term.obdd, domains)[term.obdd.root]
             visits += len(term.obdd.internal_nodes())
         domains.undo_to(mark)
-        if score < theta - eps:
+        if score < theta - THRESHOLD_EPS:
             domains.fix(var, True)
             fixed.append((var, True))
     return PropagationResult(OK, fixed=fixed, bound=bound, visits=visits)

@@ -3,13 +3,13 @@
 Every search node runs the cardinality propagator and the domain-consistent
 threshold propagators to a joint fixpoint.  The search branches, true
 first, on the labelled variable (one a diagram node reads) whose drop in
-the optimistic bounds, summed over the constraints, is largest; the lowest
-index wins ties.  A node closes once its optimistic completion (free
-labelled variables true, all others false) fits the cardinality bound,
-since that completion is the best strategy below it; variables no diagram
-reads come out false.  Optimization is branch-and-bound in the same
-search: the objective is recast as a constraint whose threshold is raised
-in place past each incumbent.
+the optimistic bounds, summed over the constraints, is largest, ties
+within ``THRESHOLD_EPS`` to the lowest index.  A node closes once its
+optimistic completion (free labelled variables true, all others false)
+fits the cardinality bound, since that completion is the best strategy
+below it; variables no diagram reads come out false.  Optimization is
+branch-and-bound in the same search: the objective is recast as a
+constraint whose threshold is raised in place past each incumbent.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ from .propagate import (ConstraintTerm, FAILED, OK, PropagationResult, Propagati
 
 @dataclass
 class Constraint:
-    """Threshold constraint: sum of reward-weighted root values >= theta."""
+    """Threshold constraint: sum of reward-weighted root values >= theta - THRESHOLD_EPS."""
 
     terms: list[ConstraintTerm]
     theta: float
-    eps: float = THRESHOLD_EPS
 
 
 @dataclass
@@ -118,7 +117,7 @@ def propagation_loop(
         round_start = len(all_fixed)
         drops: dict[int, float] = {}
         for index, constraint in enumerate(problem.constraints):
-            result = dc_propagate(constraint.terms, domains, constraint.theta, eps=constraint.eps,
+            result = dc_propagate(constraint.terms, domains, constraint.theta,
                                   scratch=scratches[index] if scratches else None)
             stats.propagator_calls += 1
             stats.node_visits += result.visits
@@ -143,19 +142,21 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
     After a node propagates, it closes if there is no bound or its true
     count plus free labelled variables (its drops' keys) is within it: the
     optimistic completion is then a solution worth the optimistic bound.
-    Else it branches on the largest drop.  Without ``objective`` the first
-    closed node is the answer.  With one, each improving completion becomes
-    the incumbent and raises the objective constraint's exact (slack-free)
-    threshold in place to its value + delta; the search backtracks and goes
-    on, propagating each frame it returns to again under the raised
-    threshold.  Nothing is rebuilt and no prefix is explored twice, since
-    scratches do not depend on the threshold.
+    Else it branches on the largest drop, ties within ``THRESHOLD_EPS`` to
+    the lowest index.  Without ``objective`` the first closed node is the
+    answer.  With one, the objective is a constraint whose threshold starts
+    at -inf.  Each completion becomes the incumbent and raises the threshold
+    to its value + max(delta, THRESHOLD_EPS) + THRESHOLD_EPS: under the
+    common slack every later completion beats it by max(delta, THRESHOLD_EPS).
+    The search backtracks and goes on, propagating each frame it returns to
+    again under the raised threshold.  Nothing is rebuilt and no prefix is
+    explored twice, since scratches do not depend on the threshold.
     """
     stats = SearchStats()
     start = time.perf_counter()
     goal = None
     if objective is not None:
-        goal = Constraint(objective, 0.0, eps=0.0)
+        goal = Constraint(objective, -math.inf)
         problem = Problem(problem.vars, problem.constraints + [goal], problem.cardinality)
     domains = DomainState(problem.vars)
     scratches = [constraint_scratch(c.terms, domains) for c in problem.constraints]
@@ -170,7 +171,8 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
         if result.ok:
             drops = result.drops  # keys: the free labelled variables
             if bound is not None and domains.true_count() + len(drops) > bound:
-                var = min(drops, key=lambda v: (-drops[v], v))  # largest drop
+                top = max(drops.values()) - THRESHOLD_EPS  # ties within the slack
+                var = min(v for v, drop in drops.items() if drop >= top)
                 stack.append([var, domains.mark(), [s.mark() for s in scratches], 0,
                               stats.incumbents])
             else:  # the optimistic completion fits the bound: the best in this subtree
@@ -179,11 +181,9 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
                 if goal is None:
                     best = strategy
                     break
-                value = scratches[-1].root_value()  # the goal's, exact on this strategy
-                if best_value is None or value > best_value:
-                    best, best_value = strategy, value
-                    stats.incumbents += 1
-                    goal.theta = value + delta
+                best, best_value = strategy, scratches[-1].root_value()  # the goal's bound
+                stats.incumbents += 1
+                goal.theta = best_value + max(delta, THRESHOLD_EPS) + THRESHOLD_EPS
         # undo the top frame's live branch; drop frames with no branch left
         while stack:
             var, domain_mark, scratch_marks, taken, seen = frame = stack[-1]
@@ -240,7 +240,8 @@ def solve_opt(
 
     Every later solution must beat the incumbent by at least ``delta``, so
     the last one found is optimal to within delta.  ``delta`` must be finite
-    and nonnegative; with 0 the first optimal strategy in search order wins.
+    and nonnegative; a value below the common slack ``THRESHOLD_EPS`` acts
+    as ``THRESHOLD_EPS``.
     """
     if problem.objective is None:
         raise ValueError("problem has no objective")

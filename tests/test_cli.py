@@ -257,6 +257,15 @@ class TestSolveCmd:
         }
         assert record["stats"]["incumbents"] == 1  # largest-drop order finds the optimum first
 
+    def test_default_delta_is_the_solvers(self, net_file, capsys):
+        outputs = []
+        for extra in ([], ["--delta", "1e-9"]):
+            assert main(["solve", str(net_file), "--json", *extra]) == 0
+            record = json.loads(capsys.readouterr().out)
+            del record["stats"]["wall_time"]
+            outputs.append(record)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("delta", ["-0.1", "nan", "inf"])
     def test_invalid_delta_exit_one(self, net_file, capsys, delta):
         assert main(["solve", str(net_file), "--delta", delta]) == 1

@@ -42,13 +42,15 @@ def brute_opt(problem):
 
 def ramp_opt(problem, delta=1e-9):
     """Optimization by threshold ramping, the path ``solve_opt`` replaced:
-    re-solve satisfaction with the objective as an exact-threshold constraint
-    raised past each incumbent, until unsatisfiable.  Returns the last
-    strategy, its value, the incumbent count and the summed search nodes."""
+    re-solve satisfaction with the objective as a constraint raised past
+    each incumbent, until unsatisfiable; the constraint sits one
+    ``THRESHOLD_EPS`` above the exact threshold, which the common slack
+    takes back off.  Returns the last strategy, its value, the incumbent
+    count and the summed search nodes."""
     best, value, incumbents, nodes = None, None, 0, 0
     while True:
         theta = 0.0 if value is None else value + delta
-        ramp = sc.Constraint(problem.objective, theta, eps=0.0)
+        ramp = sc.Constraint(problem.objective, theta + sc.THRESHOLD_EPS)
         sub = sc.Problem(problem.vars, problem.constraints + [ramp], problem.cardinality)
         strategy, stats = sc.solve_sat(sub)
         nodes += stats.nodes_expanded
@@ -178,8 +180,7 @@ def rerun_until_unchanged(domains, problem):
             changed |= bool(result.fixed)
             fixed += result.fixed
         for constraint in problem.constraints:
-            result = sc.dc_propagate(constraint.terms, domains, constraint.theta,
-                                     eps=constraint.eps)
+            result = sc.dc_propagate(constraint.terms, domains, constraint.theta)
             if not result.ok:
                 return sc.FAILED, fixed
             changed |= bool(result.fixed)
@@ -583,11 +584,30 @@ class TestDeepSearch:
         assert visits[0] == visits[1]
 
 
+def series_model(probs, goal, cardinality):
+    """Edges v0-v1-...-vn in series, declared from the target end, so that
+    breadth-first levels from the source reverse the declaration levels;
+    one query from end to end."""
+    nodes = [f"v{i}" for i in range(len(probs) + 1)]
+    lines = [f"node {v}" for v in nodes]
+    lines += [f"edge {nodes[i]} {nodes[i + 1]} {probs[i]}" for i in reversed(range(len(probs)))]
+    lines += [f"query v0 {nodes[-1]}", f"cardinality <= {cardinality}", goal]
+    return sc.parse_network("\n".join(lines) + "\n")
+
+
+def both_orders(model):
+    """The model under its breadth-first levels and under declaration
+    levels, which must differ."""
+    plain = sc.with_order(model, [info.name for info in model.vars])
+    assert model.vars.order() != plain.vars.order()
+    return model, plain
+
+
 class TestLargestDropBranching:
-    """The search branches on the largest summed drop, the lowest index on
-    ties.  The counts pinned here depend on how drops that tie within float
-    noise order; once the diagrams' variable order departs from the index
-    order they may move, while the optima may not."""
+    """The search branches on the largest summed drop; drops within
+    ``THRESHOLD_EPS`` of it tie, and the lowest index wins.  So drops that
+    are equal in exact arithmetic tie however the level order rounds them,
+    and the counts pinned here hold under any level order."""
 
     @pytest.mark.parametrize("p0, p1, chosen", [(0.1, 0.9, "d1"), (0.5, 0.5, "d0")])
     def test_first_completion_is_the_optimum(self, p0, p1, chosen):
@@ -605,6 +625,39 @@ class TestLargestDropBranching:
         # the raised threshold then forces the chosen edge true, which
         # prunes its false branch unexpanded
         assert (stats.nodes_expanded, stats.incumbents) == (1, 1)
+
+    @pytest.mark.parametrize("probs", [(0.82, 0.6), (0.82, 0.6, 0.35)])
+    def test_series_tie_goes_to_lowest_index(self, probs):
+        # every edge of a series is a bridge, so their drops are all the
+        # bound; the first edge declared has the lowest index
+        for model in both_orders(series_model(probs, "constraint >= 0", 1)):
+            strategy, stats = sc.solve_sat(sc.build_problem(model))
+            assert strategy == {v: v == 1 for v in model.vars.decision_ids()}
+            assert stats.nodes_expanded == 1
+
+    def test_zero_delta_bridge_tie(self):
+        # the bridge s-a leads to a choice of a-t or a-b-t; with delta 0 the
+        # optimum ties the bound left once the bridge is false, and the
+        # common slack, not rounding, decides the bridge's forcing test
+        model = sc.parse_network(
+            "node s\nnode a\nnode b\nnode t\nedge b t 0.81\nedge a b 0.38\n"
+            "edge a t 0.77\nedge s a 0.5\nquery s t\ncardinality <= 2\nobjective maximize\n")
+        for m in both_orders(model):
+            strategy, value, stats = sc.solve_opt(sc.build_problem(m), delta=0.0)
+            assert strategy == {1: False, 3: False, 5: True, 7: True}
+            assert value == pytest.approx(0.5 * 0.77, abs=1e-12)
+            assert (stats.nodes_expanded, stats.incumbents) == (2, 1)
+
+    def test_zero_delta_series_keeps_a_strategy(self):
+        # one edge of three in series connects nothing, so every strategy
+        # is worth 0; a goal that could force bridges by rounding would
+        # overrun the cardinality bound and report no strategy at all
+        model = series_model((0.82, 0.6, 0.35), "objective maximize", 1)
+        for m in both_orders(model):
+            strategy, value, stats = sc.solve_opt(sc.build_problem(m), delta=0.0)
+            assert strategy == {v: v == 1 for v in m.vars.decision_ids()}
+            assert value == 0.0
+            assert stats.incumbents == 1
 
     @pytest.mark.parametrize("n, nodes, optimum", [
         (16, 14, 0.6662715122959944),
