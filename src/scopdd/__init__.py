@@ -69,6 +69,7 @@ from .solver import (
     strategy_value,
 )
 from .model_io import (
+    CompileRecord,
     Edge,
     ParsedModel,
     ProbNetwork,
@@ -88,6 +89,7 @@ __all__ = [
     "BOTH",
     "BoundsResult",
     "CapacityError",
+    "CompileRecord",
     "Constraint",
     "ConstraintTerm",
     "Cube",

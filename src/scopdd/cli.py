@@ -258,6 +258,11 @@ def cmd_solve(args) -> int:
             },
             "value": value,
             "stats": stats.as_dict(),
+            "compile": [
+                {"source": r.query.source, "target": r.query.target,
+                 "paths": r.paths, "nodes": r.nodes}
+                for r in problem.compiled
+            ],
         }
         print(json.dumps(record))
     else:

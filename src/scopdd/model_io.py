@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .errors import CapacityError, ParseError
 from .obdd import DECISION, STOCHASTIC, Cube, VariableTable, _content_lines, from_dnf
@@ -312,16 +313,28 @@ def st_path_dnf(
     return cubes
 
 
+class CompileRecord(NamedTuple):
+    """One query's compile counters: its simple paths, and the internal
+    nodes of its diagram, each reachable from the root."""
+
+    query: Query
+    paths: int
+    nodes: int
+
+
 def build_problem(model: ParsedModel) -> Problem:
-    """Compile every query and assemble the instance."""
-    terms = [
-        ConstraintTerm(from_dnf(model.vars, st_path_dnf(model, query)), query.reward)
-        for query in model.queries
-    ]
+    """Compile every query and assemble the instance, with one
+    ``CompileRecord`` per query, in query order, as ``Problem.compiled``."""
+    terms, compiled = [], []
+    for query in model.queries:
+        cubes = st_path_dnf(model, query)
+        dd = from_dnf(model.vars, cubes)  # a compact store: its nodes are the reachable ones
+        terms.append(ConstraintTerm(dd, query.reward))
+        compiled.append(CompileRecord(query, len(cubes), len(dd) - 2))
     if model.maximize:
-        return Problem(model.vars, [], model.cardinality, objective=terms)
+        return Problem(model.vars, [], model.cardinality, objective=terms, compiled=compiled)
     return Problem(
-        model.vars, [Constraint(terms, model.theta)], model.cardinality
+        model.vars, [Constraint(terms, model.theta)], model.cardinality, compiled=compiled
     )
 
 

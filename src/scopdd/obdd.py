@@ -11,9 +11,9 @@ level alone, which ``apply`` compares and ``rows`` sorts by; the registry
 maps each level back to its variable, so cubes, rows and ``var_of`` still
 name variables by index.
 
-``from_dnf`` makes one cube diagram per cube and ORs them as a balanced
-tree, neighbours pairwise, so each ``apply`` joins two disjunctions of like
-size instead of adding one cube to an ever larger one.  ``from_dnf`` and
+``from_dnf`` builds a DNF over the trie of its cubes' sorted level tuples,
+one node per trie edge, so no cube is ORed on its own into a growing
+disjunction (see its docstring).  ``from_dnf`` and
 ``load_obdd`` build in a working store and return a compact copy holding
 only the nodes reachable from the root, so ``len(dd)`` is the reachable
 node count plus the two terminals; the working store, with its apply memo,
@@ -269,16 +269,8 @@ class Obdd:
     def cube(self, cube: Cube) -> int:
         """Diagram of a single conjunction; monotone inputs only.  ``Cube``'s
         literals are repeat-free, and are chained deepest level first."""
-        for var, polarity in cube.literals:
-            if not 0 <= var < len(self.vars):
-                raise StructureError(f"cube references unknown variable {var}")
-            if not polarity:
-                raise StructureError(
-                    f"negative literal on {self.vars.name(var)!r}: "
-                    "only monotone formulas are accepted"
-                )
         node = TRUE_NODE
-        for level in sorted(map(self.vars._level.__getitem__, cube.vars()), reverse=True):
+        for level in reversed(_cube_levels(self.vars, cube)):
             node = self._make(level, FALSE_NODE, node)
         return node
 
@@ -432,23 +424,66 @@ class Obdd:
         return node == TRUE_NODE
 
 
+def _cube_levels(variables: VariableTable, cube: Cube) -> tuple[int, ...]:
+    """The levels of the cube's variables, ascending: the one literal check
+    of ``Obdd.cube`` and ``from_dnf``, which reject a variable outside the
+    table and a negative literal."""
+    levels = []
+    for var, polarity in cube.literals:
+        if not 0 <= var < len(variables):
+            raise StructureError(f"cube references unknown variable {var}")
+        if not polarity:
+            raise StructureError(
+                f"negative literal on {variables.name(var)!r}: "
+                "only monotone formulas are accepted"
+            )
+        levels.append(variables._level[var])
+    return tuple(sorted(levels))
+
+
 def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
     """Compile a monotone DNF into a reduced ordered diagram.
 
-    Builds one cube diagram per cube, in the given order, then ORs
-    neighbours pairwise, level by level, in one working store with one
-    apply memo, and returns the compact copy of the last root.  An empty
-    cube list yields the constant-false diagram; a cube without literals is
-    the empty conjunction and yields constant true.
+    Each cube becomes the ascending tuple of its variables' levels; repeats
+    are dropped and the tuples sorted, which lays them out as the leaves of
+    a trie: a depth-k group holds the tuples that share their first k
+    levels, and its children are keyed by the level at depth k.  A group's
+    diagram is the OR over its children of (child's level AND child's
+    group), built from the last child to the first by one
+    ``_make(level, acc, group OR acc)`` each, where ``acc`` is the OR of
+    the later children.  The fold runs from the last tuple to the first and
+    keeps ``acc[k]`` for each depth of the tuple folded last; a group whose
+    prefix is itself a tuple is constant true.  It builds in one working
+    store with one apply memo and returns the compact copy of the root.  An
+    empty cube list yields the constant-false diagram; a cube without
+    literals is the empty conjunction and yields constant true.
     """
     dd = Obdd(variables)
-    roots = [dd.cube(cube) for cube in cubes] or [FALSE_NODE]
-    while len(roots) > 1:
-        merged = [dd._apply(OR, a, b) for a, b in zip(roots[::2], roots[1::2])]
-        if len(roots) % 2:
-            merged.append(roots[-1])
-        roots = merged
-    return dd._compact(roots[0])
+    tuples = sorted({_cube_levels(variables, cube) for cube in cubes}, reverse=True)
+    if not tuples:
+        return dd._compact(FALSE_NODE)
+    make, apply = dd._make, dd._apply
+    later = tuples[0]
+    acc = [FALSE_NODE] * len(later)
+    # a sentinel below every level closes every open group into acc[0], the root
+    for levels in tuples[1:] + [(-1,)]:
+        common, stop = 0, min(len(levels), len(later))
+        while common < stop and levels[common] == later[common]:
+            common += 1
+        if common < len(levels):
+            node = TRUE_NODE
+            for k in range(len(later) - 1, common - 1, -1):
+                rest = acc[k]
+                if rest != FALSE_NODE:
+                    node = apply(OR, node, rest)
+                node = make(later[k], rest, node)
+            del acc[common:]
+            acc.append(node)
+            acc += [FALSE_NODE] * (len(levels) - common - 1)
+        else:  # levels is a prefix of later: its group is constant true
+            del acc[common:]
+        later = levels
+    return dd._compact(acc[0])
 
 
 def validate(dd: Obdd, root: int | None = None) -> None:

@@ -35,12 +35,15 @@ class Constraint:
 @dataclass
 class Problem:
     """A full instance: constraints, optional cardinality bound (on the
-    number of true decision variables), optional maximization objective."""
+    number of true decision variables), optional maximization objective.
+    ``compiled`` holds the per-query compile counters of an instance built
+    from a problem file (``model_io.CompileRecord``s); the search ignores it."""
 
     vars: VariableTable
     constraints: list[Constraint] = field(default_factory=list)
     cardinality: int | None = None
     objective: list[ConstraintTerm] | None = None
+    compiled: list = field(default_factory=list)
 
     def __post_init__(self):
         if not self.constraints and self.objective is None:

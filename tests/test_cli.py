@@ -257,6 +257,15 @@ class TestSolveCmd:
         }
         assert record["stats"]["incumbents"] == 1  # largest-drop order finds the optimum first
 
+    def test_compile_counters_json(self, net_file, capsys):
+        assert main(["solve", str(net_file), "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert list(record) == ["status", "strategy", "value", "stats", "compile"]
+        assert record["compile"] == [
+            {"source": "a", "target": "c", "paths": 3, "nodes": 14},
+            {"source": "a", "target": "d", "paths": 3, "nodes": 20},
+        ]
+
     def test_default_delta_is_the_solvers(self, net_file, capsys):
         outputs = []
         for extra in ([], ["--delta", "1e-9"]):

@@ -437,13 +437,39 @@ class TestBuildProblem:
         """Deterministic compile counter: the working store that path DNF
         compilation fills before compaction, on a 24-edge network.  A left
         fold of the path cubes fills 132,906 nodes here."""
-        sizes = []
-        compact = sc.Obdd._compact
-
-        def spy(dd, root):
-            sizes.append(len(dd))
-            return compact(dd, root)
-
-        monkeypatch.setattr(sc.Obdd, "_compact", spy)
-        sc.build_problem(sc.parse_network(random_model_text(random.Random("7:24"), 24)))
+        sizes = working_store_sizes(monkeypatch, 24)
         assert sizes and sum(sizes) <= 53_480
+
+    @pytest.mark.parametrize("n_edges, bound", [(24, 11_326), (28, 27_310)])
+    def test_trie_working_store_size(self, monkeypatch, n_edges, bound):
+        """The level-sorted cube trie's working store; a balanced OR tree of
+        the path cubes fills 34,956 and 114,470 nodes here."""
+        sizes = working_store_sizes(monkeypatch, n_edges)
+        assert sizes and sum(sizes) <= bound
+
+    def test_compile_records(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            model = sc.parse_network(random_model_text(rng, rng.randint(3, 14)))
+            problem = sc.build_problem(model)
+            terms = problem.objective or problem.constraints[0].terms
+            assert [r.query for r in problem.compiled] == model.queries
+            for record, term, query in zip(problem.compiled, terms, model.queries):
+                assert record.paths == len(sc.st_path_dnf(model, query))
+                assert record.nodes == len(term.obdd.rows())
+
+
+def working_store_sizes(monkeypatch, n_edges: int) -> list[int]:
+    """The working store size at each compaction while building the seeded
+    ``n_edges``-edge network's problem."""
+    sizes = []
+    compact = sc.Obdd._compact
+
+    def spy(dd, root):
+        sizes.append(len(dd))
+        return compact(dd, root)
+
+    monkeypatch.setattr(sc.Obdd, "_compact", spy)
+    text = random_model_text(random.Random(f"7:{n_edges}"), n_edges)
+    sc.build_problem(sc.parse_network(text))
+    return sizes

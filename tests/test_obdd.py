@@ -128,31 +128,82 @@ def fold_dump(table, cubes) -> str:
     return sc.dump_obdd(dd, root)
 
 
-class TestBalancedCompile:
-    """``from_dnf``'s balanced OR tree builds the same diagram as the left
-    fold, whatever the order of the cubes."""
+def nested_cubes(rng: random.Random, table: sc.VariableTable) -> list[sc.Cube]:
+    """Random cubes plus repeats of them, their level-order prefixes,
+    other subsets and supersets, now and then the empty cube, shuffled."""
+    cubes = random_cubes(rng, table, max_cubes=9)
+    for cube in list(cubes):
+        by_level = sorted(cube.vars(), key=table.level)
+        pick = rng.randrange(4)
+        if pick == 0:
+            cubes.append(cube)
+        elif pick == 1 and len(by_level) > 1:
+            cubes.append(sc.Cube.positive(by_level[:rng.randrange(1, len(by_level))]))
+        elif pick == 2 and len(by_level) > 1:
+            cubes.append(sc.Cube.positive(rng.sample(by_level, len(by_level) - 1)))
+        elif pick == 3:
+            extra = [v for v in range(len(table)) if v not in by_level]
+            cubes.append(sc.Cube.positive(
+                by_level + rng.sample(extra, min(len(extra), rng.randint(1, 2)))))
+    if rng.random() < 0.1:
+        cubes.append(sc.Cube.positive([]))
+    rng.shuffle(cubes)
+    return cubes
+
+
+class TestTrieCompile:
+    """``from_dnf``'s level-sorted cube trie builds the same diagram as the
+    left fold, whatever the order, repeats and nesting of the cubes and
+    whatever the levels of the table."""
 
     def _check(self, rng, table, cubes):
-        dd = sc.from_dnf(table, cubes)
+        expected = fold_dump(table, cubes)
+        dd = sc.from_dnf(table, (cube for cube in cubes))
         sc.validate(dd)
-        text = sc.dump_obdd(dd)
-        assert text == fold_dump(table, cubes)
+        assert sc.dump_obdd(dd) == expected
+        assert len(dd) == len(dd.rows()) + 2  # the compact copy of the root
         shuffled = list(cubes)
         rng.shuffle(shuffled)
-        assert sc.dump_obdd(sc.from_dnf(table, shuffled)) == text
+        assert sc.dump_obdd(sc.from_dnf(table, shuffled)) == expected
 
     def test_random_cubes_match_left_fold(self):
         rng = random.Random(71)
-        for _ in range(60):
+        for _ in range(120):
             table = make_table(rng, rng.randint(1, 6), rng.randint(1, 6))
-            self._check(rng, table, random_cubes(rng, table, max_cubes=13))
+            if rng.random() < 0.7:
+                table, _ = with_shuffled_levels(rng, table)
+            self._check(rng, table, nested_cubes(rng, table))
 
     def test_networks_match_left_fold(self):
         rng = random.Random(73)
         for _ in range(25):
             model = sc.parse_network(random_model_text(rng, rng.randint(3, 14)))
+            if rng.random() < 0.5:
+                _, order = with_shuffled_levels(rng, model.vars)
+                model = sc.with_order(model, order)
             for query in model.queries:
                 self._check(rng, model.vars, sc.st_path_dnf(model, query))
+
+    def test_prefix_makes_its_group_true(self):
+        # levels c < a < b: the cube {c} is a prefix of {c, a} and {c, a, b},
+        # so it alone decides the group below c
+        declared = [("a", sc.DECISION, None), ("b", sc.STOCHASTIC, 0.5),
+                    ("c", sc.DECISION, None)]
+        table = sc.VariableTable(declared, ["c", "a", "b"])
+        cubes = [sc.Cube.positive(v) for v in ([2, 0, 1], [2], [2, 0], [0, 1])]
+        dd = sc.from_dnf(table, cubes)
+        assert sc.dump_obdd(dd) == fold_dump(table, cubes)
+        rows = dd.rows()
+        assert [(table.name(var), lo, hi) for _, var, lo, hi, _ in rows] == [
+            ("c", rows[1][0], 1), ("a", 0, rows[2][0]), ("b", 0, 1),
+        ]
+
+    def test_empty_cube_among_others_is_true(self):
+        table, a, b, c = small_table()
+        cubes = [sc.Cube.positive([a, c]), sc.Cube.positive([]), sc.Cube.positive([b])]
+        for order in (cubes, cubes[::-1]):
+            dd = sc.from_dnf(table, order)
+            assert dd.root == 1 and len(dd) == 2
 
 
 class TestFromDnf:
