@@ -109,7 +109,7 @@ def cmd_compile(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     used = set()
-    for query, term in zip(model.queries, terms):
+    for (query, _, nodes), term in zip(problem.compiled, terms):
         stem = f"{query.source}-{query.target}"
         if stem in used:  # first free suffix, so no file is written twice
             suffix = len(used)
@@ -121,10 +121,7 @@ def cmd_compile(args) -> int:
         path.write_text(dump_obdd(term.obdd))
         if args.dot:
             (out_dir / f"{stem}.dot").write_text(dump_dot(term.obdd))
-        print(
-            f"query {query.source}->{query.target}: "
-            f"{len(term.obdd.internal_nodes())} internal nodes -> {path}"
-        )
+        print(f"query {query.source}->{query.target}: {nodes} internal nodes -> {path}")
     return EXIT_OK
 
 

@@ -20,4 +20,4 @@ class ParseError(ScopddError):
 
 
 class CapacityError(ScopddError):
-    """An enumeration exceeded its configured cap."""
+    """An enumeration exceeded its fixed cap."""

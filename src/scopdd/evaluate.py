@@ -128,12 +128,10 @@ def sweep_values(dd: Obdd, domains: DomainState, root: Roots = None) -> list[flo
     return val
 
 
-def evaluate(dd: Obdd, domains: DomainState, root: int | None = None) -> float:
+def evaluate(dd: Obdd, domains: DomainState) -> float:
     """Root value under the partial strategy (free decisions count as true)."""
     _check_compatible(dd, domains)
-    if root is None:
-        root = dd.root
-    return sweep_values(dd, domains, root)[root]
+    return sweep_values(dd, domains)[dd.root]
 
 
 def model_probability(dd: Obdd, assignment: Mapping[int, bool]) -> float:

@@ -25,7 +25,9 @@ visited and the levels to come, and with them the diagrams small.
 
 A query s -> t compiles into one cube per simple path between the
 endpoints: the conjunction of d_e and t_e over the path's edges, edges
-usable in either direction.
+usable in either direction.  A query may have at most ``PATH_CAP`` (10,000)
+simple paths; one with more raises CapacityError, which the command line
+reports with exit code 1.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .obdd import DECISION, STOCHASTIC, Cube, VariableTable, _content_lines, fro
 from .propagate import ConstraintTerm
 from .solver import Constraint, Problem
 
-DEFAULT_PATH_CAP = 10000
+PATH_CAP = 10000  # simple paths per query
 
 
 @dataclass(frozen=True)
@@ -71,18 +73,38 @@ class Query:
 
 @dataclass
 class ParsedModel:
-    """Everything a problem file declares, with variables registered."""
+    """Everything a problem file declares.  The variable table and the
+    adjacency are derived from it on construction, so ``replace`` derives
+    them again."""
 
     network: ProbNetwork
-    vars: VariableTable
     queries: list[Query]
     cardinality: int | None = None
     maximize: bool = False
     theta: float | None = None
     order: list[str] | None = None  # the file's order line, if any
+    vars: VariableTable = field(init=False)
     # node -> (neighbour, edge index) pairs in edge declaration order
-    adjacency: dict[str, list[tuple[str, int]]] = field(
-        default_factory=dict, compare=False, repr=False)
+    adjacency: dict[str, list[tuple[str, int]]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        """Register the edge variables, edge i's at indices 2i and 2i + 1,
+        with levels from the order if there is one and from the order rule
+        if not."""
+        self.adjacency = adjacency = {name: [] for name in self.network.nodes}
+        declared: list[tuple[str, str, float | None]] = []
+        for i, edge in enumerate(self.network.edges):
+            adjacency[edge.u].append((edge.v, i))
+            adjacency[edge.v].append((edge.u, i))
+            t_name, d_name = edge_var_names(edge.u, edge.v)
+            declared += [(t_name, STOCHASTIC, edge.prob), (d_name, DECISION, None)]
+        order = self.order
+        if order is None:
+            order = [declared[var][0] for i in _rule_edge_order(self) for var in (2 * i, 2 * i + 1)]
+        try:
+            self.vars = VariableTable(declared, order, noun="edge")
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
 
 
 def edge_var_names(u: str, v: str) -> tuple[str, str]:
@@ -200,36 +222,16 @@ def parse_network(text: str) -> ParsedModel:
     if not queries:
         raise ParseError("no query declared")
 
-    model = ParsedModel(ProbNetwork(nodes, edges), VariableTable(), queries,
-                        cardinality, maximize, theta, order)
-    return _with_edge_variables(model, order_line)
+    try:
+        return ParsedModel(ProbNetwork(nodes, edges), queries, cardinality, maximize, theta, order)
+    except ParseError as exc:  # only an order line can fail here
+        raise ParseError(str(exc), order_line) from None
 
 
 def with_order(model: ParsedModel, order: list[str]) -> ParsedModel:
     """Copy of the model whose variables take their levels from the given
     order; their indices stay in declaration order."""
-    return _with_edge_variables(replace(model, order=list(order)))
-
-
-def _with_edge_variables(model: ParsedModel, order_line: int | None = None) -> ParsedModel:
-    """Register the model's edge variables, edge i's at indices 2i and
-    2i + 1, with levels from its order if it has one and from the order
-    rule if not, and build the model's adjacency; returns the model."""
-    model.adjacency = adjacency = {name: [] for name in model.network.nodes}
-    declared: list[tuple[str, str, float | None]] = []
-    for i, edge in enumerate(model.network.edges):
-        adjacency[edge.u].append((edge.v, i))
-        adjacency[edge.v].append((edge.u, i))
-        t_name, d_name = edge_var_names(edge.u, edge.v)
-        declared += [(t_name, STOCHASTIC, edge.prob), (d_name, DECISION, None)]
-    order = model.order
-    if order is None:
-        order = [declared[var][0] for i in _rule_edge_order(model) for var in (2 * i, 2 * i + 1)]
-    try:
-        model.vars = VariableTable(declared, order, noun="edge")
-    except ValueError as exc:
-        raise ParseError(str(exc), order_line) from None
-    return model
+    return replace(model, order=list(order))
 
 
 def _rule_edge_order(model: ParsedModel) -> list[int]:
@@ -255,12 +257,10 @@ def _rule_edge_order(model: ParsedModel) -> list[int]:
     return order
 
 
-def st_path_dnf(
-    model: ParsedModel, query: Query, cap: int = DEFAULT_PATH_CAP
-) -> list[Cube]:
+def st_path_dnf(model: ParsedModel, query: Query) -> list[Cube]:
     """One cube (d_e and t_e over the path's edges) per simple source-target
     path.  Disconnected endpoints yield an empty list (a constant-false
-    event); more than ``cap`` paths raises CapacityError.
+    event); more than ``PATH_CAP`` paths raises CapacityError.
 
     A node other than the endpoints with at most one neighbour left lies on
     no simple path between them, so such dead ends are dropped, repeatedly,
@@ -292,11 +292,9 @@ def st_path_dnf(
     while stack:
         at, neighbors = stack[-1]
         if at == query.target:
-            if len(cubes) >= cap:
-                raise CapacityError(
-                    f"more than {cap} simple paths from {query.source!r} to "
-                    f"{query.target!r}; use a smaller instance or raise the cap"
-                )
+            if len(cubes) >= PATH_CAP:
+                raise CapacityError(f"more than {PATH_CAP} simple paths from "
+                                    f"{query.source!r} to {query.target!r}")
             cubes.append(Cube.positive(var for i in path for var in (2 * i, 2 * i + 1)))
             neighbors = ()  # a path ends at the target
         for neighbor, i in neighbors:

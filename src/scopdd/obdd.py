@@ -349,15 +349,15 @@ class Obdd:
 
     # -- traversal ----------------------------------------------------
 
-    def topo_order(self, root: int | None = None) -> tuple[int, ...]:
+    def topo_order(self) -> tuple[int, ...]:
         """Reachable nodes, every node before its children, terminals last.
 
         Deterministic for a fixed diagram: internal nodes are sorted by
         (level, id).  Reverse the result to get a children-first order.
         """
-        rows = self.rows(root)
+        rows = self.rows()
         if not rows:  # a terminal root; an internal one reaches both terminals
-            return (self.root if root is None else root,)
+            return (self.root,)
         return tuple(row[0] for row in rows) + (FALSE_NODE, TRUE_NODE)
 
     def _reachable(self, roots: Iterable[int]) -> set[int]:
@@ -644,13 +644,11 @@ def dump_obdd(dd: Obdd, root: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dump_dot(dd: Obdd, root: int | None = None) -> str:
+def dump_dot(dd: Obdd) -> str:
     """Graphviz rendering: boxes for decision nodes, circles for stochastic,
     dashed lo arcs and solid hi arcs."""
-    if root is None:
-        root = dd.root
     lines = ["digraph obdd {"]
-    order = dd.topo_order(root)
+    order = dd.topo_order()
     for node in order:
         if node < 2:
             lines.append(f'  n{node} [label="{node}", shape=box, peripheries=2];')

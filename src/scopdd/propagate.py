@@ -121,22 +121,18 @@ def sweep_path_weights(dd: Obdd, domains: DomainState,
     return pi
 
 
-def compute_path_weights(dd: Obdd, domains: DomainState, root: int | None = None) -> dict[int, float]:
+def compute_path_weights(dd: Obdd, domains: DomainState) -> dict[int, float]:
     """Path weights of every reachable node, keyed by node id."""
     _check_compatible(dd, domains)
-    if root is None:
-        root = dd.root
-    pi = sweep_path_weights(dd, domains, [(root, 1.0)])
-    return {node: pi[node] for node in dd.topo_order(root)}
+    pi = sweep_path_weights(dd, domains)
+    return {node: pi[node] for node in dd.topo_order()}
 
 
-def compute_values(dd: Obdd, domains: DomainState, root: int | None = None) -> dict[int, float]:
+def compute_values(dd: Obdd, domains: DomainState) -> dict[int, float]:
     """Node values of every reachable node (bottom-up recurrence)."""
     _check_compatible(dd, domains)
-    if root is None:
-        root = dd.root
-    val = sweep_values(dd, domains, root)
-    return {node: val[node] for node in dd.topo_order(root)}
+    val = sweep_values(dd, domains)
+    return {node: val[node] for node in dd.topo_order()}
 
 
 def compute_derivatives(
@@ -144,7 +140,6 @@ def compute_derivatives(
     path_weights: dict[int, float],
     values: dict[int, float],
     domains: DomainState,
-    root: int | None = None,
 ) -> dict[int, float]:
     """Drop of the root value per free decision variable.
 
@@ -153,7 +148,7 @@ def compute_derivatives(
     """
     _check_compatible(dd, domains)
     deltas = {var: 0.0 for var in domains.free_vars()}
-    for node in dd.internal_nodes(root):
+    for node in dd.internal_nodes():
         var = dd.var_of(node)
         if var in deltas:
             deltas[var] += path_weights[node] * (

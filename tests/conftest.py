@@ -148,6 +148,15 @@ def all_strategies(table: sc.VariableTable):
         yield dict(zip(dec, bits))
 
 
+def complete_graph_text(n: int) -> str:
+    """Problem file of the complete graph on v0 .. v(n-1), one query v0 -> v1."""
+    names = [f"v{i}" for i in range(n)]
+    lines = [f"node {name}" for name in names]
+    lines += [f"edge {u} {v} 0.5" for u, v in itertools.combinations(names, 2)]
+    lines += ["query v0 v1", "objective maximize"]
+    return "\n".join(lines) + "\n"
+
+
 def dnf_truth(cubes, assignment) -> bool:
     return any(
         all(assignment[v] == polarity for v, polarity in cube.literals)

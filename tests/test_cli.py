@@ -3,13 +3,16 @@
 import csv
 import io
 import json
+import shlex
+import shutil
+from pathlib import Path
 
 import pytest
 
 import scopdd as sc
 from scopdd.cli import main
 
-from conftest import DATA, PATH_ORDER
+from conftest import DATA, PATH_ORDER, complete_graph_text
 
 
 @pytest.fixture
@@ -310,6 +313,14 @@ class TestSolveCmd:
         record = json.loads(capsys.readouterr().out)
         assert record["value"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_path_cap_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "k9.scop"
+        path.write_text(complete_graph_text(9))  # 13,700 simple paths v0 -> v1
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "more than 10000 simple paths from 'v0' to 'v1'" in err
+        assert "raise the cap" not in err
+
 
 class TestBenchCmd:
     def _run(self, capsys, *extra):
@@ -353,3 +364,28 @@ class TestBenchCmd:
         captured = capsys.readouterr()
         assert "bad --count" in captured.err
         assert captured.out == ""
+
+
+class TestReadme:
+    def test_command_line_examples_run(self, tmp_path, monkeypatch, capsys):
+        # every scopdd line of README's "Command line" block, run from a
+        # directory holding a copy of the test data; bench on one instance
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.splitlines() if line.startswith("scopdd ")]
+        assert [argv[1] for argv in commands] == ["compile", "propagate", "solve", "bench"]
+        shutil.copytree(DATA, tmp_path / "tests" / "data")
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            if argv[1] == "bench":
+                argv[argv.index("--count") + 1] = "1"
+            out_file = None
+            if ">" in argv:
+                out_file = argv[argv.index(">") + 1]
+                argv = argv[:argv.index(">")]
+            assert main(argv[1:]) == 0, argv
+            out = capsys.readouterr().out
+            if out_file:
+                Path(out_file).write_text(out)
+        assert (tmp_path / "build" / "a-c.dot").exists()
+        assert len((tmp_path / "bench.csv").read_text().splitlines()) == 1 + 3 * 4

@@ -2,13 +2,14 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 import scopdd as sc
 from scopdd.cli import random_model_text
 
-from conftest import dnf_truth
+from conftest import complete_graph_text, dnf_truth
 
 
 def cube_names(model, cube):
@@ -172,6 +173,42 @@ class TestParseNetwork:
             assert sc.dump_obdd(dd) == dump
 
 
+class TestReplace:
+    """``dataclasses.replace`` derives the variable table and the adjacency
+    again, as parsing the edited file would."""
+
+    TEXT = (
+        "node a\nnode b\nnode c\nnode d\n"
+        "edge a b 0.5\nedge b c 0.6\nedge c d 0.7\n"
+        "query a d\nquery d b\nobjective maximize\n"
+    )
+
+    def test_queries_with_another_first_source(self):
+        model = sc.parse_network(self.TEXT)
+        edited = sc.parse_network(self.TEXT.replace("query a d\n", "") + "query a d\n")
+        # the order rule starts at the first query's source: a, then d
+        assert model.vars.order()[:2] == ["t_ab", "d_ab"]
+        assert edited.vars.order()[:2] == ["t_cd", "d_cd"]
+        replaced = replace(model, queries=edited.queries)
+        assert replaced == edited
+        assert replaced.vars.order() == edited.vars.order()
+        assert replaced.adjacency == edited.adjacency
+
+    def test_network_with_another_edge(self):
+        model = sc.parse_network(self.TEXT)
+        query = sc.Query("a", "c")
+        assert len(sc.st_path_dnf(model, query)) == 1
+        edges = [*model.network.edges, sc.Edge("a", "c", 0.9)]
+        wider = replace(model, network=sc.ProbNetwork(model.network.nodes, edges))
+        edited = sc.parse_network(self.TEXT.replace("0.7\n", "0.7\nedge a c 0.9\n"))
+        assert wider == edited
+        assert wider.adjacency == edited.adjacency
+        assert {cube_names(wider, c) for c in sc.st_path_dnf(wider, query)} == {
+            frozenset({"t_ab", "d_ab", "t_bc", "d_bc"}),
+            frozenset({"t_ac", "d_ac"}),
+        }
+
+
 class TestOrderRule:
     def test_breadth_first_edge_levels(self):
         # ranks from s: s 0, a 1, b 2, c 3, t 4; z, y and x are unreached
@@ -281,9 +318,13 @@ class TestPathEnumeration:
         dd = sc.from_dnf(model.vars, [])
         assert dd.root == 0
 
-    def test_path_cap(self, net_model):
-        with pytest.raises(sc.CapacityError, match="smaller instance"):
-            sc.st_path_dnf(net_model, net_model.queries[0], cap=2)
+    def test_path_cap(self):
+        # K9 has 1 + 7 + 7*6 + ... + 7! = 13,700 simple paths between two vertices
+        model = sc.parse_network(complete_graph_text(9))
+        assert sc.model_io.PATH_CAP == 10000
+        with pytest.raises(sc.CapacityError,
+                           match="^more than 10000 simple paths from 'v0' to 'v1'$"):
+            sc.st_path_dnf(model, model.queries[0])
 
     def test_paths_are_simple_and_sound(self, net_model):
         # independent enumerator: try every permutation of intermediate nodes
