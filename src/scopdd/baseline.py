@@ -13,6 +13,7 @@ propagator: on the right instances it fixes strictly fewer variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .evaluate import BOTH, DomainState, FALSE_ONLY, TRUE_ONLY
@@ -104,6 +105,8 @@ def decompose(terms: list[ConstraintTerm], theta: float) -> LinearSystem:
     """Build the per-node linear system for sum_i r_i * value_i(root) >= theta."""
     if not terms:
         raise ValueError("constraint needs at least one term")
+    if math.isnan(theta):
+        raise ValueError("theta must not be NaN")
     decision_eqs: list[DecisionEquation] = []
     stochastic_exprs: dict[NodeKey, Affine] = {}
     var_names: dict[NodeKey, str] = {}

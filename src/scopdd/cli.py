@@ -106,17 +106,20 @@ def cmd_compile(args) -> int:
         model = with_order(model, Path(args.order_file).read_text().split())
     problem = build_problem(model)
     terms = _goal_terms(problem)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    used = set()
-    for (query, _, nodes), term in zip(problem.compiled, terms):
+    stems: list[str] = []
+    for query, _, _ in problem.compiled:
         stem = f"{query.source}-{query.target}"
-        if stem in used:  # first free suffix, so no file is written twice
-            suffix = len(used)
-            while f"{stem}-{suffix}" in used:
+        if "/" in stem or "\0" in stem:  # a path, not a name: it could leave --out-dir
+            raise ScopddError(f"query {query.source}->{query.target} gives no plain file name")
+        if stem in stems:  # first free suffix, so no file is written twice
+            suffix = len(stems)
+            while f"{stem}-{suffix}" in stems:
                 suffix += 1
             stem = f"{stem}-{suffix}"
-        used.add(stem)
+        stems.append(stem)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for (query, _, nodes), term, stem in zip(problem.compiled, terms, stems):
         path = out_dir / f"{stem}.obdd"
         path.write_text(dump_obdd(term.obdd))
         if args.dot:
@@ -351,8 +354,7 @@ def bench_instance(seed: int, n_edges: int, index: int) -> list[dict]:
         domains.fix(free[0], False)
         scratch.apply_fix(free[0], False)
     res = dc_propagate(terms, domains, theta, scratch=scratch)
-    incr_visits = res.visits + scratch.visits - before
-    row("incremental", len(res.fixed), incr_visits, time.perf_counter() - start)
+    row("incremental", len(res.fixed), scratch.visits - before, time.perf_counter() - start)
 
     start = time.perf_counter()
     base = bounds_propagate(decompose(terms, theta), DomainState(table))

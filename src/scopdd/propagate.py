@@ -63,13 +63,13 @@ class PropagationResult:
 
     ``fixed`` lists the variables newly forced (each was free before the
     call); on ``FAILED`` nothing was fixed and the caller must backtrack.
-    ``bound`` is the optimistic constraint value where the propagator
-    computes one, and ``visits`` counts instrumented node visits.
-    ``drops`` maps each free variable that labels a node to the drop of
-    ``bound`` were it fixed false, as read before the call's own fixes
-    (``dc_propagate``, also on ``FAILED``), or summed over the constraints
-    at the fixpoint and keyed by the variables still free
-    (``propagation_loop``, on ``OK`` only).
+    The threshold propagators set ``bound``, the optimistic constraint
+    value, and ``visits``, the nodes the call read; ``dc_propagate`` also
+    sets ``drops``, each free variable that labels a node mapped to the
+    drop of the bound were it fixed false, as read before the call's own
+    fixes (also on ``FAILED``).  A ``propagation_loop`` result carries only
+    ``status``, ``fixed`` and, on ``OK``, ``drops``: summed over the
+    constraints at the fixpoint and keyed by the variables still free.
     """
 
     status: str
@@ -197,15 +197,15 @@ def dc_propagate(
     it is ``FAILED``.
     """
     _check_terms(terms, domains)
+    if math.isnan(theta):  # a NaN threshold fails no bound test: it would prune nothing
+        raise ValueError("theta must not be NaN")
     fresh = scratch is None
     if fresh:
         scratch = constraint_scratch(terms, domains)
+    before = scratch.visits
     bound = scratch.root_value()
     drop = scratch.drops()
-    if fresh:
-        visits = scratch.visits + len(domains.free_vars())
-    else:
-        visits = sum(len(scratch.var_nodes[var]) for var in drop)
+    visits = before + len(domains.free_vars()) if fresh else scratch.visits - before
 
     if bound < theta - THRESHOLD_EPS:
         return PropagationResult(FAILED, bound=bound, visits=visits, drops=drop)
@@ -227,6 +227,8 @@ def naive_propagate(
     true; prune false when the score is below theta - THRESHOLD_EPS.  Same
     contract as ``dc_propagate``, O(m*n) visits; kept as the oracle."""
     _check_terms(terms, domains)
+    if math.isnan(theta):
+        raise ValueError("theta must not be NaN")
     visits = 0
     bound = 0.0
     for term in terms:
@@ -254,11 +256,11 @@ class PropagationScratch:
 
     ``seeds`` are (root, weight) pairs, by default the diagram's root with
     weight 1; ``root_value()`` and ``drops()`` are sums weighted by them.
-    Owned by a single search worker.  Every pass is one of the package's
-    two sweep loops over the store's level-ordered ``rows``, so ``pi`` and
-    ``val`` are always bit-identical to a full recompute.  A repair replaces
-    both lists and pushes the old pair on a trail, so ``undo_to`` restores a
-    search state by swapping lists back.
+    Every pass is one of the package's two sweep loops over the store's
+    level-ordered ``rows``, so ``pi`` and ``val`` are always bit-identical
+    to a full recompute.  A repair replaces both lists and pushes the old
+    pair on a trail; ``undo_to`` swaps them back.  ``visits`` counts the
+    nodes read: two per row at build, each repair's rows, each drop read.
     """
 
     def __init__(self, dd: Obdd, domains: DomainState,
@@ -292,12 +294,15 @@ class PropagationScratch:
         path weight times (value of hi - value of lo)."""
         dom, pi, val = self.domains._dom, self.pi, self.val
         drop = {}
+        read = 0
         for var, nodes in self.var_nodes.items():
             if dom[var] == BOTH:
                 total = 0.0
                 for node, lo, hi in nodes:
                     total += pi[node] * (val[hi] - val[lo])
                 drop[var] = total
+                read += len(nodes)
+        self.visits += read
         return drop
 
     # -- repair after fixes -----------------------------------------------

@@ -31,6 +31,10 @@ class Constraint:
     terms: list[ConstraintTerm]
     theta: float
 
+    def __post_init__(self):
+        if math.isnan(self.theta):  # the goal's -inf is legal
+            raise ValueError("theta must not be NaN")
+
 
 @dataclass
 class Problem:
@@ -84,17 +88,12 @@ def cardinality_propagate(domains: DomainState, bound: int) -> PropagationResult
     return PropagationResult(OK, fixed=fixed)
 
 
-def propagation_loop(
-    domains: DomainState,
-    problem: Problem,
-    scratches: list[PropagationScratch] | None = None,
-    stats: SearchStats | None = None,
-) -> PropagationResult:
+def propagation_loop(domains: DomainState, problem: Problem,
+                     scratches: list[PropagationScratch], stats: SearchStats) -> PropagationResult:
     """Run cardinality then every threshold constraint, in rounds, to a
-    joint fixpoint or failure.  ``scratches`` (one ``constraint_scratch``
-    per constraint) switches the threshold propagator to its incremental
-    form; the false-fixes of one cardinality call repair every scratch as
-    one batch.
+    joint fixpoint or failure, on ``scratches`` (one ``constraint_scratch``
+    per constraint, which counts the nodes it reads); the false-fixes of one
+    cardinality call repair every scratch as one batch.
 
     Threshold propagators only fix variables to true, and a true-fix moves
     no bound and no drop, so after one round every threshold constraint is
@@ -102,40 +101,30 @@ def propagation_loop(
     true-fixes, and only once they reach it; then another round runs.  So
     the last round's drops, summed over constraints, hold at the fixpoint.
     """
-    if stats is None:
-        stats = SearchStats()
     all_fixed: list[tuple[int, bool]] = []
-    seen = stats.node_visits  # this call's visits are node_visits - seen
-    bound = None
     while True:
         if problem.cardinality is not None:
             result = cardinality_propagate(domains, problem.cardinality)
             stats.propagator_calls += 1
             if not result.ok:
-                return PropagationResult(FAILED, bound=bound, visits=stats.node_visits - seen)
-            if result.fixed:
-                for scratch in scratches or ():
-                    stats.node_visits += scratch.apply_fixes(result.fixed)
-                all_fixed.extend(result.fixed)
+                return result
+            for scratch in scratches:  # a batch of no false-fix sweeps nothing
+                scratch.apply_fixes(result.fixed)
+            all_fixed.extend(result.fixed)
         round_start = len(all_fixed)
         drops: dict[int, float] = {}
-        for index, constraint in enumerate(problem.constraints):
-            result = dc_propagate(constraint.terms, domains, constraint.theta,
-                                  scratch=scratches[index] if scratches else None)
+        for constraint, scratch in zip(problem.constraints, scratches, strict=True):
+            result = dc_propagate(constraint.terms, domains, constraint.theta, scratch=scratch)
             stats.propagator_calls += 1
-            stats.node_visits += result.visits
             if not result.ok:
-                return PropagationResult(FAILED, bound=result.bound,
-                                         visits=stats.node_visits - seen)
-            bound = result.bound
+                return PropagationResult(FAILED)
             for var, amount in result.drops.items():
                 drops[var] = drops.get(var, 0.0) + amount
             all_fixed.extend(result.fixed)  # true-fixes
         if not (len(all_fixed) > round_start and problem.cardinality is not None
                 and domains.true_count() >= problem.cardinality):
             free = {var: amount for var, amount in drops.items() if domains.is_free(var)}
-            return PropagationResult(OK, fixed=all_fixed, bound=bound,
-                                     visits=stats.node_visits - seen, drops=free)
+            return PropagationResult(OK, fixed=all_fixed, drops=free)
 
 
 def _search(problem: Problem, objective: list[ConstraintTerm] | None,
@@ -163,7 +152,6 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
         problem = Problem(problem.vars, problem.constraints + [goal], problem.cardinality)
     domains = DomainState(problem.vars)
     scratches = [constraint_scratch(c.terms, domains) for c in problem.constraints]
-    stats.node_visits += sum(s.visits for s in scratches)  # initial full rebuilds
     bound, best, best_value = problem.cardinality, None, None
 
     # frame: [branching variable, domain mark, scratch marks, branches taken,
@@ -213,8 +201,9 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
             domains.fix(var, not taken)  # true first
             if taken:
                 for scratch in scratches:
-                    stats.node_visits += scratch.apply_fix(var, False)
+                    scratch.apply_fix(var, False)
             result = propagation_loop(domains, problem, scratches, stats)
+    stats.node_visits = sum(s.visits for s in scratches)
     stats.wall_time += time.perf_counter() - start
     return best, best_value, stats
 

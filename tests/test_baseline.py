@@ -1,6 +1,7 @@
 """Circuit decomposition and its interval propagator."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -49,6 +50,10 @@ class TestDecompose:
         assert eqs[ky2].hi_expr.const == pytest.approx(0.6, abs=1e-12)
         rendered = "\n".join(system.render())
         assert "0.9*v(x" in rendered and ">= 0.4" in rendered
+
+    def test_nan_theta_rejected(self, choice):
+        with pytest.raises(ValueError, match="NaN"):
+            sc.decompose([sc.ConstraintTerm(choice.dd)], math.nan)
 
     def test_terminal_only_diagram(self):
         table = sc.VariableTable()

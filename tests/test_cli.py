@@ -97,6 +97,18 @@ class TestCompile:
         assert labels("a-b-2.obdd") == {"t_ab-2", "d_ab-2"}
         assert labels("a-b.obdd") == labels("a-b-3.obdd") == {"t_ab", "d_ab"}
 
+    @pytest.mark.parametrize("name", ["../escaped", "esc\0aped"], ids=["parent-dir", "nul"])
+    def test_stem_that_is_no_file_name_refused(self, tmp_path, net_file, capsys, name):
+        src = tmp_path / "p.scop"
+        src.write_text(f"node {name}\nnode b\nedge {name} b 0.5\nquery {name} b\n"
+                       "objective maximize\n")
+        inner = tmp_path / "inner"
+        assert main(["compile", str(src), "--out-dir", str(inner)]) == 1
+        assert "no plain file name" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.scop", "p.scop"]
+        assert main(["compile", str(net_file), "--out-dir", str(inner)]) == 0
+        assert sorted(p.name for p in inner.iterdir()) == ["a-c.obdd", "a-d.obdd"]
+
     def test_dot_styles(self, tmp_path, net_file, capsys):
         assert main(["compile", str(net_file), "--out-dir", str(tmp_path), "--dot"]) == 0
         dot = (tmp_path / "a-c.dot").read_text()
@@ -332,6 +344,27 @@ class TestBenchCmd:
         first = self._run(capsys, "--no-timing")
         second = self._run(capsys, "--no-timing")
         assert first == second
+
+    def test_pinned_output(self, capsys):
+        assert self._run(capsys, "--no-timing") == (
+            "instance,propagator,decision_vars,obdd_nodes,fixed,visits\n"
+            "s7-n4-i0,naive,4,4,1,20\n"
+            "s7-n4-i0,derivative,4,4,1,8\n"
+            "s7-n4-i0,incremental,4,4,1,1\n"
+            "s7-n4-i0,baseline,4,4,0,5\n"
+            "s7-n4-i1,naive,4,10,1,50\n"
+            "s7-n4-i1,derivative,4,10,1,20\n"
+            "s7-n4-i1,incremental,4,10,1,17\n"
+            "s7-n4-i1,baseline,4,10,1,33\n"
+            "s7-n6-i0,naive,6,44,2,308\n"
+            "s7-n6-i0,derivative,6,44,2,74\n"
+            "s7-n6-i0,incremental,6,44,5,53\n"
+            "s7-n6-i0,baseline,6,44,0,90\n"
+            "s7-n6-i1,naive,6,44,2,308\n"
+            "s7-n6-i1,derivative,6,44,2,74\n"
+            "s7-n6-i1,incremental,6,44,4,53\n"
+            "s7-n6-i1,baseline,6,44,0,90\n"
+        )
 
     def test_rows_and_propagator_agreement(self, capsys):
         out = self._run(capsys, "--no-timing")

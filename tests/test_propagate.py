@@ -1,5 +1,6 @@
 """Path weights, node values, derivatives, the three propagation modes."""
 
+import math
 import random
 
 import pytest
@@ -199,6 +200,11 @@ class TestDcPropagate:
             r2 = sc.naive_propagate(terms, d2, theta)
             assert r1.status == r2.status
             assert sorted(r1.fixed) == sorted(r2.fixed)
+
+    @pytest.mark.parametrize("propagate", [sc.dc_propagate, sc.naive_propagate])
+    def test_nan_theta_rejected(self, choice, propagate):
+        with pytest.raises(ValueError, match="NaN"):
+            propagate([sc.ConstraintTerm(choice.dd)], sc.DomainState(choice.vt), math.nan)
 
 
 class TestNaivePropagate:
@@ -449,6 +455,22 @@ class TestVisitAudit:
         naive = sc.naive_propagate(terms, sc.DomainState(path_dd.vars), 0.2)
         assert naive.visits == (n_free + 1) * m_internal
         assert naive.visits > dc.visits  # n >= 3 here
+
+    def test_scratch_counts_its_drop_reads(self, path_dd):
+        terms = [sc.ConstraintTerm(path_dd)]
+        domains = sc.DomainState(path_dd.vars)
+        scratch = sc.constraint_scratch(terms, domains)
+        while True:
+            before = scratch.visits
+            result = sc.dc_propagate(terms, domains, 0.0, scratch=scratch)
+            assert result.visits == scratch.visits - before
+            free = [var for var in scratch.var_nodes if domains.is_free(var)]
+            if not free:
+                assert result.visits == 0
+                break
+            assert result.visits > 0
+            domains.fix(free[0], False)
+            scratch.apply_fix(free[0], False)
 
     def test_incremental_visits_bounded_by_region(self, path_dd):
         domains, scratch = fresh_scratch(path_dd)

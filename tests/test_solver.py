@@ -189,6 +189,14 @@ def rerun_until_unchanged(domains, problem):
             return sc.OK, fixed
 
 
+def run_loop(domains, problem):
+    """``propagation_loop`` on fresh scratches of ``domains`` and a fresh
+    ``SearchStats``; returns the result and the stats."""
+    scratches = [sc.constraint_scratch(c.terms, domains) for c in problem.constraints]
+    stats = sc.SearchStats()
+    return sc.propagation_loop(domains, problem, scratches, stats), stats
+
+
 def loop_corpus():
     """The seed-83 ``random_problem`` corpus, objectives recast as threshold
     constraints, then compiled networks under a cardinality bound."""
@@ -244,6 +252,59 @@ def seeded_optimisation(n):
     return sc.build_problem(sc.parse_network(text))
 
 
+def seeded_satisfaction(n):
+    """``random_model_text`` at seed ``7:n`` under the bound ``n // 3``,
+    its threshold 0.8 times the optimistic bound at the root."""
+    text = random_model_text(random.Random(f"7:{n}"), n).replace(
+        "constraint >= 0", f"cardinality <= {n // 3}\nconstraint >= 0")
+    problem = sc.build_problem(sc.parse_network(text))
+    constraint = problem.constraints[0]
+    scratch = sc.constraint_scratch(constraint.terms, sc.DomainState(problem.vars))
+    constraint.theta = 0.8 * scratch.root_value()
+    return problem
+
+
+def counters(stats):
+    """Every ``SearchStats`` field but ``wall_time``, in field order."""
+    return tuple(value for key, value in stats.as_dict().items() if key != "wall_time")
+
+
+class TestSearchCounters:
+    """The search's deterministic counters on seeded instances, pinned."""
+
+    @pytest.mark.parametrize("n, expected", [
+        (12, (13, 13, 46, 4140, 4)),
+        (16, (14, 14, 49, 6266, 2)),
+        (20, (70, 70, 183, 241430, 4)),
+    ])
+    def test_optimisation(self, n, expected):
+        _, _, stats = sc.solve_opt(seeded_optimisation(n))
+        assert counters(stats) == expected
+
+    @pytest.mark.parametrize("n, status, expected", [
+        (12, "unsat", (12, 12, 29, 3323, 0)),
+        (16, "sat", (6, 1, 14, 2116, 0)),
+        (20, "sat", (6, 0, 14, 13770, 0)),
+    ])
+    def test_satisfaction(self, n, status, expected):
+        strategy, stats = sc.solve_sat(seeded_satisfaction(n))
+        assert ("unsat" if strategy is None else "sat") == status
+        assert counters(stats) == expected
+
+    def test_node_visits_are_the_scratches_visits(self, monkeypatch):
+        scratches = []
+        constraint_scratch = solver_module.constraint_scratch
+
+        def keeping_constraint_scratch(*args):
+            scratches.append(constraint_scratch(*args))
+            return scratches[-1]
+
+        monkeypatch.setattr(solver_module, "constraint_scratch", keeping_constraint_scratch)
+        _, _, stats = sc.solve_opt(seeded_optimisation(16))
+        assert scratches and stats.nodes_expanded > 0
+        assert stats.node_visits == sum(s.visits for s in scratches)
+
+
 class TestFixpointDrops:
     """``propagation_loop`` sums the drops its last round read, so the
     search branches on them without another pass."""
@@ -255,7 +316,7 @@ class TestFixpointDrops:
                 domains = sc.DomainState(problem.vars)
                 scratches = [sc.constraint_scratch(c.terms, domains)
                              for c in problem.constraints]
-                result = sc.propagation_loop(domains, problem, scratches)
+                result = sc.propagation_loop(domains, problem, scratches, sc.SearchStats())
                 while result.ok:
                     expected = fresh_drops(problem, domains)
                     assert set(result.drops) == set(expected)
@@ -271,7 +332,8 @@ class TestFixpointDrops:
                     if not value:
                         for scratch in scratches:
                             scratch.apply_fix(var, False)
-                    result = sc.propagation_loop(domains, problem, scratches)
+                    result = sc.propagation_loop(domains, problem, scratches,
+                                                 sc.SearchStats())
         assert checked > 1000 and summed > 250
 
     def test_search_reads_drops_once_per_threshold_call(self, monkeypatch):
@@ -301,15 +363,12 @@ class TestPropagationLoop:
                 start = random_domains(rng, problem.vars, p_free=0.8)
                 expected = start.copy()
                 status, fixes = rerun_until_unchanged(expected, problem)
-                for warm in (False, True):
-                    domains = start.copy()
-                    scratches = ([sc.constraint_scratch(c.terms, domains)
-                                  for c in problem.constraints] if warm else None)
-                    result = sc.propagation_loop(domains, problem, scratches)
-                    assert result.status == status
-                    if result.ok:
-                        assert result.fixed == fixes
-                    assert repr(domains) == repr(expected)
+                domains = start.copy()
+                result, _ = run_loop(domains, problem)
+                assert result.status == status
+                if result.ok:
+                    assert result.fixed == fixes
+                assert repr(domains) == repr(expected)
                 values = [value for _, value in fixes]
                 # threshold fixes are true-fixes, so a false-fix after one
                 # came from the bound
@@ -320,8 +379,7 @@ class TestPropagationLoop:
         problem = sc.Problem(
             choice.vt, [sc.Constraint([sc.ConstraintTerm(choice.dd)], 0.4)]
         )
-        stats = sc.SearchStats()
-        result = sc.propagation_loop(sc.DomainState(choice.vt), problem, stats=stats)
+        result, stats = run_loop(sc.DomainState(choice.vt), problem)
         assert result.fixed == [(choice.y, True)]
         assert stats.propagator_calls == 1
 
@@ -330,7 +388,7 @@ class TestPropagationLoop:
             choice.vt, [sc.Constraint([sc.ConstraintTerm(choice.dd)], 0.4)]
         )
         domains = sc.DomainState(choice.vt)
-        result = sc.propagation_loop(domains, problem)
+        result, _ = run_loop(domains, problem)
         assert result.ok
         assert (choice.y, True) in result.fixed
         assert domains.is_free(choice.x)
@@ -344,7 +402,7 @@ class TestPropagationLoop:
             cardinality=1,
         )
         domains = sc.DomainState(choice.vt)
-        result = sc.propagation_loop(domains, problem)
+        result, _ = run_loop(domains, problem)
         assert result.ok
         assert dict(result.fixed) == {choice.y: True, choice.x: False}
         assert dict(domains.fixed_items()) == {choice.x: False, choice.y: True}
@@ -354,7 +412,7 @@ class TestPropagationLoop:
             choice.vt, [], objective=[sc.ConstraintTerm(choice.dd)]
         )
         domains = sc.DomainState(choice.vt)
-        result = sc.propagation_loop(domains, problem)
+        result, _ = run_loop(domains, problem)
         assert result.ok and result.fixed == []
 
     def test_fixes_never_contradict_a_solution(self):
@@ -374,7 +432,7 @@ class TestPropagationLoop:
                 )
             ]
             domains = sc.DomainState(problem.vars)
-            result = sc.propagation_loop(domains, problem)
+            result, _ = run_loop(domains, problem)
             if not result.ok:
                 assert solutions == []  # root failure only on unsatisfiable
             else:
@@ -735,3 +793,9 @@ class TestProblemValidation:
     def test_non_finite_reward_rejected(self, choice, reward):
         with pytest.raises(ValueError, match="reward must be finite"):
             sc.ConstraintTerm(choice.dd, reward=reward)
+
+    def test_nan_threshold_rejected(self, choice):
+        terms = [sc.ConstraintTerm(choice.dd)]
+        with pytest.raises(ValueError, match="NaN"):
+            sc.Constraint(terms, math.nan)
+        assert sc.Constraint(terms, -math.inf).theta == -math.inf  # the goal's start
