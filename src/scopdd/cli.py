@@ -19,7 +19,8 @@ from .errors import ScopddError
 from .evaluate import DomainState
 from .model_io import build_problem, parse_network, with_order
 from .obdd import dump_dot, dump_obdd, load_obdd
-from .propagate import ConstraintTerm, constraint_scratch, dc_propagate, naive_propagate
+from .propagate import (ConstraintTerm, constraint_scratch, dc_propagate, incremental_fix,
+                        naive_propagate)
 from .solver import solve_opt, solve_sat, strategy_value
 
 EXIT_OK = 0
@@ -351,8 +352,7 @@ def bench_instance(seed: int, n_edges: int, index: int) -> list[dict]:
     start = time.perf_counter()
     before = scratch.visits
     if free:
-        domains.fix(free[0], False)
-        scratch.apply_fix(free[0], False)
+        incremental_fix(scratch, free[0], False)
     res = dc_propagate(terms, domains, theta, scratch=scratch)
     row("incremental", len(res.fixed), scratch.visits - before, time.perf_counter() - start)
 

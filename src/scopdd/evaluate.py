@@ -22,9 +22,9 @@ _DOMAIN_NAMES = {FALSE_ONLY: "false", TRUE_ONLY: "true", BOTH: "free"}
 class DomainState:
     """Per-decision-variable domain: false-only, true-only, or both.
 
-    Covers exactly the decision variables of one table.  Mutations are
-    recorded on a trail so a search can undo them; an empty domain is never
-    stored (the propagators signal failure instead of emptying a domain).
+    Covers exactly the decision variables of one table.  Only a free
+    variable is fixed, so the trail lists the fixed variables and
+    ``undo_to`` frees them; no empty domain is stored (propagators fail instead).
     """
 
     def __init__(self, variables: VariableTable, fixed: Mapping[int, bool] | None = None):
@@ -33,7 +33,7 @@ class DomainState:
             BOTH if info.kind == DECISION else -1 for info in variables
         ]
         self._true_count = 0
-        self._trail: list[tuple[int, int]] = []
+        self._trail: list[int] = []
         if fixed:
             for var, value in fixed.items():
                 self.fix(var, value)
@@ -62,7 +62,7 @@ class DomainState:
         self._check(var)
         if self._dom[var] != BOTH:
             raise ValueError(f"variable {self.vars.name(var)!r} is already fixed")
-        self._trail.append((var, self._dom[var]))
+        self._trail.append(var)
         self._dom[var] = TRUE_ONLY if value else FALSE_ONLY
         if value:
             self._true_count += 1
@@ -72,10 +72,10 @@ class DomainState:
 
     def undo_to(self, mark: int) -> None:
         while len(self._trail) > mark:
-            var, old = self._trail.pop()
+            var = self._trail.pop()
             if self._dom[var] == TRUE_ONLY:
                 self._true_count -= 1
-            self._dom[var] = old
+            self._dom[var] = BOTH
 
     def true_count(self) -> int:
         return self._true_count

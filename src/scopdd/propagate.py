@@ -188,7 +188,7 @@ def dc_propagate(
     below that.  One pass is a fixpoint: fixing a variable to true changes
     neither F nor any other variable's drop.
 
-    ``scratch`` (the terms' ``constraint_scratch``, consistent with
+    ``scratch`` (the terms' ``constraint_scratch``, built over this very
     ``domains``) is the search's warm state, and the call counts the nodes
     it reads drops from.  Without it one is built, and the call counts its
     two sweeps plus one visit per free variable.  Drops are read only for
@@ -199,6 +199,8 @@ def dc_propagate(
     _check_terms(terms, domains)
     if math.isnan(theta):  # a NaN threshold fails no bound test: it would prune nothing
         raise ValueError("theta must not be NaN")
+    if scratch is not None and scratch.domains is not domains:
+        raise ValueError("scratch was built over a different domain state")
     fresh = scratch is None
     if fresh:
         scratch = constraint_scratch(terms, domains)
@@ -258,9 +260,10 @@ class PropagationScratch:
     weight 1; ``root_value()`` and ``drops()`` are sums weighted by them.
     Every pass is one of the package's two sweep loops over the store's
     level-ordered ``rows``, so ``pi`` and ``val`` are always bit-identical
-    to a full recompute.  A repair replaces both lists and pushes the old
-    pair on a trail; ``undo_to`` swaps them back.  ``visits`` counts the
-    nodes read: two per row at build, each repair's rows, each drop read.
+    to a full recompute.  A repair never edits either list: it replaces
+    both, so the pair held is a complete snapshot and is its own mark.
+    ``visits`` counts the nodes read: two per row at build, each repair's
+    rows, each drop read.
     """
 
     def __init__(self, dd: Obdd, domains: DomainState,
@@ -269,7 +272,6 @@ class PropagationScratch:
         self.dd = dd
         self.domains = domains
         self.seeds = [(dd.root, 1.0)] if seeds is None else list(seeds)
-        self._trail: list[tuple[list[float], list[float]]] = []
         roots = [root for root, _ in self.seeds]
         self.rows = dd.rows(roots)
         # decision variable -> (node, lo, hi) of each node it labels
@@ -320,7 +322,6 @@ class PropagationScratch:
         end = max((self._end[var] for var, value in fixes if not value), default=0)
         if not end:
             return 0
-        self._trail.append((self.pi, self.val))
         self.pi = sweep_path_weights(self.dd, self.domains, self.seeds)
         self.val = list(self.val)
         _value_pass(self.rows, self.domains._dom, self.val, end)
@@ -332,23 +333,18 @@ class PropagationScratch:
         """``apply_fixes`` for one fix."""
         return self.apply_fixes([(var, value)])
 
-    def mark(self) -> int:
-        return len(self._trail)
+    def mark(self) -> tuple[list[float], list[float]]:
+        """The held (pi, val) pair, which no repair edits."""
+        return self.pi, self.val
 
-    def undo_to(self, mark: int) -> None:
-        if len(self._trail) > mark:
-            self.pi, self.val = self._trail[mark]
-            del self._trail[mark:]
+    def undo_to(self, mark: tuple[list[float], list[float]]) -> None:
+        """Hold the pair ``mark()`` returned again."""
+        self.pi, self.val = mark
 
 
 def incremental_fix(scratch: PropagationScratch, var: int, value: bool) -> PropagationScratch:
-    """Fix a free decision variable and update the scratch state in place."""
-    if not 0 <= var < len(scratch.dd.vars) or not scratch.dd.vars.is_decision(var):
-        raise ValueError(f"variable index {var} is not a decision variable")
-    if not scratch.domains.is_free(var):
-        raise ValueError(
-            f"variable {scratch.dd.vars.name(var)!r} is already fixed"
-        )
+    """Fix a free decision variable in the scratch's domain state (whose
+    ``fix`` rejects any other variable) and repair the scratch in place."""
     scratch.domains.fix(var, value)
     scratch.apply_fix(var, value)
     return scratch

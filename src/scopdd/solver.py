@@ -154,8 +154,8 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
     scratches = [constraint_scratch(c.terms, domains) for c in problem.constraints]
     bound, best, best_value = problem.cardinality, None, None
 
-    # frame: [branching variable, domain mark, scratch marks, branches taken,
-    # incumbents when last propagated]; the marks restore the node's fixpoint
+    # frame: [branching variable, domain mark, each scratch's (pi, val) pair,
+    # branches taken, incumbents when last propagated]; marks restore the fixpoint
     stack: list[list] = []
     result = propagation_loop(domains, problem, scratches, stats)
     while True:

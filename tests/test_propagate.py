@@ -201,6 +201,18 @@ class TestDcPropagate:
             assert r1.status == r2.status
             assert sorted(r1.fixed) == sorted(r2.fixed)
 
+    def test_scratch_over_another_domain_state_rejected(self, net_model):
+        problem = sc.build_problem(net_model)
+        terms = problem.objective
+        d1, d2 = sc.DomainState(problem.vars), sc.DomainState(problem.vars)
+        d2.fix(problem.vars.index("d_ab"), False)
+        scratch = sc.constraint_scratch(terms, d1)
+        # the scratch holds d1's bound, not d2's
+        assert scratch.root_value() != pytest.approx(sc.dc_propagate(terms, d2.copy(), 0.0).bound)
+        with pytest.raises(ValueError, match="different domain state"):
+            sc.dc_propagate(terms, d2, 0.0, scratch=scratch)
+        assert d2.fixed_items() == [(problem.vars.index("d_ab"), False)]
+
     @pytest.mark.parametrize("propagate", [sc.dc_propagate, sc.naive_propagate])
     def test_nan_theta_rejected(self, choice, propagate):
         with pytest.raises(ValueError, match="NaN"):
@@ -277,18 +289,30 @@ class TestScratchIncremental:
         domains, scratch = fresh_scratch(path_dd)
         pi, val = list(scratch.pi), list(scratch.val)
         dmark, smark = domains.mark(), scratch.mark()
+        assert smark[0] is scratch.pi and smark[1] is scratch.val  # the held pair
         sc.incremental_fix(scratch, path_dd.vars.index("d_cd"), False)
         sc.incremental_fix(scratch, path_dd.vars.index("d_ad"), False)
+        assert scratch.pi is not smark[0] and scratch.val is not smark[1]
         domains.undo_to(dmark)
         scratch.undo_to(smark)
-        assert scratch.pi == pi and scratch.val == val
+        assert scratch.pi is smark[0] and scratch.val is smark[1]
+        assert scratch.pi == pi and scratch.val == val  # no repair edited the pair
 
     def test_fixed_variable_rejected(self, path_dd):
         domains, scratch = fresh_scratch(path_dd)
         var = path_dd.vars.index("d_cd")
         sc.incremental_fix(scratch, var, False)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^variable 'd_cd' is already fixed$"):
             sc.incremental_fix(scratch, var, True)
+
+    @pytest.mark.parametrize("which", ["stochastic", "past-end", "negative"])
+    def test_non_decision_index_rejected(self, path_dd, which):
+        var = {"stochastic": path_dd.vars.index("t_cd"), "past-end": len(path_dd.vars),
+               "negative": -1}[which]
+        domains, scratch = fresh_scratch(path_dd)
+        with pytest.raises(ValueError, match=f"^variable index {var} is not a decision variable$"):
+            sc.incremental_fix(scratch, var, False)
+        assert domains.free_vars() == path_dd.vars.decision_ids()
 
     def test_scratch_backed_dc_matches_fresh(self):
         rng = random.Random(41)
@@ -380,12 +404,12 @@ class TestScratchIncremental:
         t = table.add_stochastic("t", 0.5)
         dd = sc.from_dnf(table, [sc.Cube.positive([used, t])])
         domains, scratch = fresh_scratch(dd)
-        mark, visits = scratch.mark(), scratch.visits
+        (pi, val), visits = scratch.mark(), scratch.visits
         domains.fix(unused, False)
         assert scratch.apply_fix(unused, False) == 0
         domains.fix(used, True)
         assert scratch.apply_fixes([(used, True)]) == 0
-        assert scratch.mark() == mark and scratch.visits == visits
+        assert scratch.pi is pi and scratch.val is val and scratch.visits == visits
 
 
 class TestConstraintScratch:
