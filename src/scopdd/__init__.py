@@ -11,11 +11,9 @@ decomposition are included as reference points.
 
 from .errors import CapacityError, ParseError, ScopddError, StructureError
 from .obdd import (
-    AND,
     Cube,
     DECISION,
     FALSE_NODE,
-    OR,
     Obdd,
     STOCHASTIC,
     TRUE_NODE,
@@ -25,7 +23,6 @@ from .obdd import (
     dump_obdd,
     from_dnf,
     load_obdd,
-    validate,
 )
 from .evaluate import (
     BOTH,
@@ -75,7 +72,6 @@ from .model_io import (
     ProbNetwork,
     Query,
     build_problem,
-    format_model,
     parse_network,
     st_path_dnf,
     with_order,
@@ -84,7 +80,6 @@ from .model_io import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AND",
     "Affine",
     "BOTH",
     "BoundsResult",
@@ -102,7 +97,6 @@ __all__ = [
     "FALSE_ONLY",
     "LinearSystem",
     "OK",
-    "OR",
     "Obdd",
     "ParseError",
     "ParsedModel",
@@ -132,7 +126,6 @@ __all__ = [
     "dump_dot",
     "dump_obdd",
     "evaluate",
-    "format_model",
     "from_dnf",
     "incremental_fix",
     "load_obdd",
@@ -144,6 +137,5 @@ __all__ = [
     "solve_sat",
     "st_path_dnf",
     "strategy_value",
-    "validate",
     "with_order",
 ]

@@ -77,28 +77,6 @@ class LinearSystem:
     stochastic_exprs: dict[NodeKey, Affine]
     root_expr: Affine
     var_names: dict[NodeKey, str]
-    binary_names: dict[int, str]
-
-    @property
-    def node_count(self) -> int:
-        return len(self.decision_eqs) + len(self.stochastic_exprs)
-
-    def _expr_text(self, e: Affine) -> str:
-        parts = [f"{c:g}*{self.var_names[k]}" for k, c in e.coefs if c != 0.0]
-        if e.const != 0.0 or not parts:
-            parts.append(f"{e.const:g}")
-        return " + ".join(parts)
-
-    def render(self) -> list[str]:
-        """Human-readable system, root inequality first."""
-        lines = [f"{self._expr_text(self.root_expr)} >= {self.theta:g}"]
-        for eq in self.decision_eqs:
-            d = self.binary_names[eq.var]
-            lines.append(
-                f"{self.var_names[eq.key]} = (1-{d})*[{self._expr_text(eq.lo_expr)}]"
-                f" + {d}*[{self._expr_text(eq.hi_expr)}]"
-            )
-        return lines
 
 
 def decompose(terms: list[ConstraintTerm], theta: float) -> LinearSystem:
@@ -110,7 +88,6 @@ def decompose(terms: list[ConstraintTerm], theta: float) -> LinearSystem:
     decision_eqs: list[DecisionEquation] = []
     stochastic_exprs: dict[NodeKey, Affine] = {}
     var_names: dict[NodeKey, str] = {}
-    binary_names: dict[int, str] = {}
     root_expr = Affine()
     for ti, term in enumerate(terms):
         dd = term.obdd
@@ -128,7 +105,6 @@ def decompose(terms: list[ConstraintTerm], theta: float) -> LinearSystem:
                 )
                 exprs[node] = Affine(0.0, ((key, 1.0),))
                 var_names[key] = f"v({info.name}#{node})"
-                binary_names[var] = info.name
             else:
                 stochastic_exprs[key] = exprs[dd.hi(node)].scaled(info.prob).plus(
                     exprs[dd.lo(node)].scaled(1.0 - info.prob)
@@ -137,9 +113,7 @@ def decompose(terms: list[ConstraintTerm], theta: float) -> LinearSystem:
         term_eqs.reverse()  # topological: root side first
         decision_eqs.extend(term_eqs)
         root_expr = root_expr.plus(exprs[dd.root].scaled(term.reward))
-    return LinearSystem(
-        theta, decision_eqs, stochastic_exprs, root_expr, var_names, binary_names
-    )
+    return LinearSystem(theta, decision_eqs, stochastic_exprs, root_expr, var_names)
 
 
 @dataclass

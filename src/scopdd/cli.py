@@ -57,8 +57,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve a problem file")
     p.add_argument("problem", help="problem file")
-    p.add_argument("--delta", type=float, default=solve_opt.__kwdefaults__["delta"],
-                   help="least improvement over the incumbent (finite, >= 0)")
+    p.add_argument("--delta", type=float,
+                   help="least improvement over the incumbent (objective problems; finite, >= 0)")
     p.add_argument("--theta", type=float, help="override the constraint threshold")
     p.add_argument("--cardinality", type=int, help="override the cardinality bound")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -235,10 +235,13 @@ def cmd_solve(args) -> int:
             raise ScopddError("--theta only applies to constraint-mode problems")
         _check_theta(args.theta, goal_terms)
         problem.constraints[0].theta = args.theta
+    if args.delta is not None and problem.objective is None:
+        raise ScopddError("--delta only applies to objective problems")
 
     if problem.objective is not None:
+        options = {} if args.delta is None else {"delta": args.delta}
         try:
-            strategy, value, stats = solve_opt(problem, delta=args.delta)
+            strategy, value, stats = solve_opt(problem, **options)
         except ValueError as exc:
             raise ScopddError(str(exc)) from None
     else:

@@ -50,13 +50,6 @@ class DomainState:
         self._check(var)
         return self._dom[var] == BOTH
 
-    def value(self, var: int) -> bool:
-        self._check(var)
-        dom = self._dom[var]
-        if dom == BOTH:
-            raise ValueError(f"variable {self.vars.name(var)!r} is still free")
-        return dom == TRUE_ONLY
-
     def fix(self, var: int, value: bool) -> None:
         """Shrink the domain of a free variable to a single value."""
         self._check(var)
@@ -82,12 +75,6 @@ class DomainState:
 
     def free_vars(self) -> list[int]:
         return [v for v, d in enumerate(self._dom) if d == BOTH]
-
-    def fixed_items(self) -> list[tuple[int, bool]]:
-        return [
-            (v, d == TRUE_ONLY) for v, d in enumerate(self._dom)
-            if d in (FALSE_ONLY, TRUE_ONLY)
-        ]
 
     def copy(self) -> "DomainState":
         clone = DomainState(self.vars)

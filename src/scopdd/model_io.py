@@ -114,7 +114,7 @@ def edge_var_names(u: str, v: str) -> tuple[str, str]:
 
 def parse_network(text: str) -> ParsedModel:
     """Parse a problem file; raises ParseError with a line number on bad input."""
-    nodes: list[str] = []  # declaration order, for format_model
+    nodes: list[str] = []  # declaration order
     node_set: set[str] = set()
     edges: list[Edge] = []
     edge_keys: set[frozenset] = set()
@@ -334,18 +334,3 @@ def build_problem(model: ParsedModel) -> Problem:
     return Problem(
         model.vars, [Constraint(terms, model.theta)], model.cardinality, compiled=compiled
     )
-
-
-def format_model(model: ParsedModel) -> str:
-    """Canonical problem file text; parse(format_model(parse(x))) == parse(x)."""
-    lines = [f"node {name}" for name in model.network.nodes]
-    lines += [f"edge {e.u} {e.v} {e.prob!r}" for e in model.network.edges]
-    lines += [
-        f"query {q.source} {q.target} reward {q.reward!r}" for q in model.queries
-    ]
-    if model.cardinality is not None:
-        lines.append(f"cardinality <= {model.cardinality}")
-    lines.append("objective maximize" if model.maximize else f"constraint >= {model.theta!r}")
-    if model.order is not None:
-        lines.append("order " + " ".join(model.order))
-    return "\n".join(lines) + "\n"

@@ -7,16 +7,17 @@ false/true terminals; all other ids are internal nodes.  Variables are kept
 in a separate registry, indexed in declaration order; each also has a level,
 its place in the global variable order, and every node's level is strictly
 smaller than the levels of its internal children.  A node is labelled by its
-level alone, which ``apply`` compares and ``rows`` sorts by; the registry
-maps each level back to its variable, so cubes, rows and ``var_of`` still
-name variables by index.
+level alone, which the OR kernel compares and ``rows`` sorts by; the
+registry maps each level back to its variable, so cubes, rows and
+``var_of`` still name variables by index.
 
 ``from_dnf`` builds a DNF over the trie of its cubes' sorted level tuples,
 one node per trie edge, so no cube is ORed on its own into a growing
-disjunction (see its docstring).  ``from_dnf`` and
+disjunction (see its docstring).  Every compiled event is monotone, so OR
+is the one way two diagrams are combined.  ``from_dnf`` and
 ``load_obdd`` build in a working store and return a compact copy holding
 only the nodes reachable from the root, so ``len(dd)`` is the reachable
-node count plus the two terminals; the working store, with its apply memo,
+node count plus the two terminals; the working store, with its OR memo,
 is dropped.  Every sweep runs over a diagram's ``rows``,
 which may start at several roots of one store.
 
@@ -40,9 +41,6 @@ from .errors import ParseError, StructureError
 
 DECISION = "decision"
 STOCHASTIC = "stochastic"
-
-AND = "and"
-OR = "or"
 
 FALSE_NODE = 0
 TRUE_NODE = 1
@@ -156,17 +154,8 @@ class VariableTable:
     def is_decision(self, index: int) -> bool:
         return self._infos[index].kind == DECISION
 
-    def prob(self, index: int) -> float:
-        info = self._infos[index]
-        if info.kind != STOCHASTIC:
-            raise ValueError(f"{info.name!r} is not stochastic")
-        return info.prob
-
     def decision_ids(self) -> list[int]:
         return [i.index for i in self._infos if i.kind == DECISION]
-
-    def stochastic_ids(self) -> list[int]:
-        return [i.index for i in self._infos if i.kind == STOCHASTIC]
 
 
 @dataclass(frozen=True)
@@ -188,9 +177,6 @@ class Cube:
     def positive(var_ids: Iterable[int]) -> "Cube":
         return Cube(tuple((v, True) for v in var_ids))
 
-    def vars(self) -> list[int]:
-        return [v for v, _ in self.literals]
-
 
 class Obdd:
     """One diagram plus its hash-consed node store.
@@ -208,8 +194,8 @@ class Obdd:
         self._lo: list[int] = [-1, -1]
         self._hi: list[int] = [-1, -1]
         self._unique: dict[tuple[int, int, int], int] = {}
-        # one memo per op, keyed by min(a, b) << 32 | max(a, b)
-        self._apply_memo: dict[str, dict[int, int]] = {AND: {}, OR: {}}
+        # the OR kernel's memo, keyed by min(a, b) << 32 | max(a, b)
+        self._or_memo: dict[int, int] = {}
         self._rows_cache: dict[tuple[int, ...], list[Row]] = {}
 
     # -- store access -------------------------------------------------
@@ -266,36 +252,20 @@ class Obdd:
         self._unique[key] = node
         return node
 
-    def cube(self, cube: Cube) -> int:
-        """Diagram of a single conjunction; monotone inputs only.  ``Cube``'s
-        literals are repeat-free, and are chained deepest level first."""
-        node = TRUE_NODE
-        for level in reversed(_cube_levels(self.vars, cube)):
-            node = self._make(level, FALSE_NODE, node)
-        return node
+    def _or(self, a: int, b: int) -> int:
+        """Reduced diagram of (a OR b) for ids this store made itself, on an
+        explicit stack.  A task ``(a, b)`` asks for (a OR b); ``(~level,
+        key)`` makes a node at ``level`` from the lo and hi results on top of
+        ``done`` and memoizes it under ``key``.  The operand at the smaller
+        level splits first.  Lo finishes before hi, so nodes are made in the
+        order of the recursive formulation.
 
-    def apply(self, op: str, a: int, b: int) -> int:
-        """Reduced diagram of (a op b); memoized per (op, a, b)."""
-        if op not in (AND, OR):
-            raise ValueError(f"unknown operator {op!r}")
-        self._check_node(a)
-        self._check_node(b)
-        return self._apply(op, a, b)
-
-    def _apply(self, op: str, a: int, b: int) -> int:
-        """Apply on an explicit stack, the one apply loop for both ops.  A
-        task ``(a, b)`` asks for (a op b); ``(~level, key)`` makes a node at
-        ``level`` from the lo and hi results on top of ``done`` and memoizes
-        it under ``key``.  The operand at the smaller level splits first.  Lo
-        finishes before hi, so nodes are made in the order of the recursive
-        formulation.
-
-        Each op has its own memo, keyed by ``min(a, b) << 32 | max(a, b)``
-        (node ids stay below 2**32); new nodes are hash-consed inline, not
-        through ``_make``."""
-        memo = self._apply_memo[op]
+        The one memo is keyed by ``min(a, b) << 32 | max(a, b)`` (node ids
+        stay below 2**32); new nodes are hash-consed inline, not through
+        ``_make``.  The terminal tests use the literal ids 0 (false) and 1
+        (true), which cost no name lookup on this hot path."""
+        memo = self._or_memo
         lvl_of, lo_of, hi_of, unique = self._lvl, self._lo, self._hi, self._unique
-        absorbing, neutral = (TRUE_NODE, FALSE_NODE) if op == OR else (FALSE_NODE, TRUE_NODE)
         tasks: list[tuple[int, int]] = [(a, b)]
         done: list[int] = []
         push, pop, emit, take = tasks.append, tasks.pop, done.append, done.pop
@@ -317,13 +287,13 @@ class Obdd:
                 memo[b] = node
                 emit(node)
                 continue
-            if a == b or b == neutral:
+            if a == b or b == 0:
                 emit(a)
                 continue
-            if a == absorbing or b == absorbing:
-                emit(absorbing)
+            if a == 1 or b == 1:
+                emit(1)
                 continue
-            if a == neutral:
+            if a == 0:
                 emit(b)
                 continue
             key = a << 32 | b if a < b else b << 32 | a
@@ -425,9 +395,9 @@ class Obdd:
 
 
 def _cube_levels(variables: VariableTable, cube: Cube) -> tuple[int, ...]:
-    """The levels of the cube's variables, ascending: the one literal check
-    of ``Obdd.cube`` and ``from_dnf``, which reject a variable outside the
-    table and a negative literal."""
+    """The levels of the cube's variables, ascending; rejects a variable
+    outside the table and a negative literal, the one literal check of
+    ``from_dnf``."""
     levels = []
     for var, polarity in cube.literals:
         if not 0 <= var < len(variables):
@@ -454,7 +424,7 @@ def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
     the later children.  The fold runs from the last tuple to the first and
     keeps ``acc[k]`` for each depth of the tuple folded last; a group whose
     prefix is itself a tuple is constant true.  It builds in one working
-    store with one apply memo and returns the compact copy of the root.  An
+    store with one OR memo and returns the compact copy of the root.  An
     empty cube list yields the constant-false diagram; a cube without
     literals is the empty conjunction and yields constant true.
     """
@@ -462,7 +432,7 @@ def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
     tuples = sorted({_cube_levels(variables, cube) for cube in cubes}, reverse=True)
     if not tuples:
         return dd._compact(FALSE_NODE)
-    make, apply = dd._make, dd._apply
+    make, or_ = dd._make, dd._or
     later = tuples[0]
     acc = [FALSE_NODE] * len(later)
     # a sentinel below every level closes every open group into acc[0], the root
@@ -475,7 +445,7 @@ def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
             for k in range(len(later) - 1, common - 1, -1):
                 rest = acc[k]
                 if rest != FALSE_NODE:
-                    node = apply(OR, node, rest)
+                    node = or_(node, rest)
                 node = make(later[k], rest, node)
             del acc[common:]
             acc.append(node)
@@ -484,20 +454,6 @@ def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
             del acc[common:]
         later = levels
     return dd._compact(acc[0])
-
-
-def validate(dd: Obdd, root: int | None = None) -> None:
-    """Full-scan check of the reduced/ordered/unique invariants."""
-    triples = set()
-    for node in dd.internal_nodes(root):
-        var, lo, hi = dd.var_of(node), dd.lo(node), dd.hi(node)
-        if lo == hi:
-            raise StructureError(f"node {node} is not reduced (lo == hi)")
-        if dd.level(node) >= dd.level(lo) or dd.level(node) >= dd.level(hi):
-            raise StructureError(f"node {node} violates the variable order")
-        if (var, lo, hi) in triples:
-            raise StructureError(f"node {node} duplicates another (var, lo, hi)")
-        triples.add((var, lo, hi))
 
 
 # -- text exchange format ----------------------------------------------

@@ -220,8 +220,14 @@ def solve_sat(problem: Problem) -> tuple[dict[int, bool] | None, SearchStats]:
 
 def strategy_value(terms: list[ConstraintTerm], problem_vars: VariableTable,
                    strategy: dict[int, bool]) -> float:
-    """Exact objective value of a complete strategy."""
+    """Exact objective value of a complete strategy; raises ``ValueError``
+    when the strategy leaves a decision variable free, whose value would be
+    the optimistic bound instead."""
     domains = DomainState(problem_vars, fixed=strategy)
+    free = domains.free_vars()
+    if free:
+        names = ", ".join(problem_vars.name(var) for var in free)
+        raise ValueError(f"strategy leaves decision variables free: {names}")
     return sum(term.reward * evaluate(term.obdd, domains) for term in terms)
 
 

@@ -10,6 +10,11 @@ The two hand-built fixtures appear throughout the suite:
 Random instances are monotone DNFs over mixed decision/stochastic variable
 tables; thresholds are drawn between achievable constraint values so the
 1e-9 comparison slack in the propagators can never flip a verdict.
+
+The oracles at the end (``validate``, ``cube_node``, ``or_reference``,
+``format_model`` and the small accessors) are built only on the package's
+public surface -- ``mk_node``, ``lo``, ``hi``, ``level``, ``var_of`` and the
+parsed model's fields -- so they share no code with the compiler they check.
 """
 
 from __future__ import annotations
@@ -166,10 +171,96 @@ def dnf_truth(cubes, assignment) -> bool:
 
 def enumerate_event_probability(dd: sc.Obdd, decisions: dict) -> float:
     """Sum of model probabilities over all stochastic assignments."""
-    sto = dd.vars.stochastic_ids()
+    sto = stochastic_ids(dd.vars)
     total = 0.0
     for bits in itertools.product([False, True], repeat=len(sto)):
         assignment = dict(decisions)
         assignment.update(zip(sto, bits))
         total += sc.model_probability(dd, assignment)
     return total
+
+
+# -- oracles on the public accessors -------------------------------------
+
+
+def stochastic_ids(table: sc.VariableTable) -> list[int]:
+    return [info.index for info in table if info.kind == sc.STOCHASTIC]
+
+
+def cube_vars(cube: sc.Cube) -> list[int]:
+    return [var for var, _ in cube.literals]
+
+
+def fixed_items(domains: sc.DomainState) -> list[tuple[int, bool]]:
+    """(variable, value) of each fixed decision variable, by index."""
+    return [
+        (var, domains.domain(var) == sc.TRUE_ONLY)
+        for var in domains.vars.decision_ids() if not domains.is_free(var)
+    ]
+
+
+def validate(dd: sc.Obdd, root: int | None = None) -> None:
+    """Full-scan check of the reduced / ordered / unique invariants."""
+    triples = set()
+    for node in dd.internal_nodes(root):
+        var, lo, hi = dd.var_of(node), dd.lo(node), dd.hi(node)
+        assert lo != hi, f"node {node} is not reduced (lo == hi)"
+        assert dd.level(node) < min(dd.level(lo), dd.level(hi)), \
+            f"node {node} violates the variable order"
+        assert (var, lo, hi) not in triples, f"node {node} duplicates another (var, lo, hi)"
+        triples.add((var, lo, hi))
+
+
+def cube_node(dd: sc.Obdd, cube: sc.Cube) -> int:
+    """Diagram of one monotone conjunction, chained deepest level first."""
+    assert all(polarity for _, polarity in cube.literals)
+    node = sc.TRUE_NODE
+    for var in sorted(cube_vars(cube), key=dd.vars.level, reverse=True):
+        node = dd.mk_node(var, sc.FALSE_NODE, node)
+    return node
+
+
+def or_reference(dd: sc.Obdd, a: int, b: int, memo: dict) -> int:
+    """(a OR b) by Shannon expansion on the variable of the smaller level
+    of the two roots; ``memo`` holds the results of earlier calls on the
+    same store."""
+    if a == b or b == sc.FALSE_NODE:
+        return a
+    if a == sc.FALSE_NODE:
+        return b
+    if sc.TRUE_NODE in (a, b):
+        return sc.TRUE_NODE
+    key = (min(a, b), max(a, b))
+    if key not in memo:
+        level = min(dd.level(a), dd.level(b))
+        var = dd.var_of(a if dd.level(a) == level else b)
+        a_lo, a_hi = (dd.lo(a), dd.hi(a)) if dd.level(a) == level else (a, a)
+        b_lo, b_hi = (dd.lo(b), dd.hi(b)) if dd.level(b) == level else (b, b)
+        memo[key] = dd.mk_node(var, or_reference(dd, a_lo, b_lo, memo),
+                               or_reference(dd, a_hi, b_hi, memo))
+    return memo[key]
+
+
+def fold_dump(table: sc.VariableTable, cubes) -> str:
+    """Reference compile: OR the cubes into the growing disjunction one at a
+    time, in a fresh store, through ``or_reference``."""
+    dd, memo = sc.Obdd(table), {}
+    root = sc.FALSE_NODE
+    for cube in cubes:
+        root = or_reference(dd, root, cube_node(dd, cube), memo)
+    return sc.dump_obdd(dd, root)
+
+
+def format_model(model: sc.ParsedModel) -> str:
+    """Canonical problem file text; parse(format_model(parse(x))) == parse(x)."""
+    lines = [f"node {name}" for name in model.network.nodes]
+    lines += [f"edge {e.u} {e.v} {e.prob!r}" for e in model.network.edges]
+    lines += [
+        f"query {q.source} {q.target} reward {q.reward!r}" for q in model.queries
+    ]
+    if model.cardinality is not None:
+        lines.append(f"cardinality <= {model.cardinality}")
+    lines.append("objective maximize" if model.maximize else f"constraint >= {model.theta!r}")
+    if model.order is not None:
+        lines.append("order " + " ".join(model.order))
+    return "\n".join(lines) + "\n"

@@ -295,6 +295,19 @@ class TestSolveCmd:
         assert main(["solve", str(net_file), "--delta", delta]) == 1
         assert "delta must be finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", ["-5", "nan", "1e-3"])
+    def test_delta_rejected_on_constraint_problem(self, tmp_path, four_node_text, capsys,
+                                                  delta):
+        path = tmp_path / "sat.scop"
+        path.write_text(four_node_text.replace("objective maximize", "constraint >= 0.4"))
+        assert main(["solve", str(path), "--delta", delta]) == 1
+        assert "--delta only applies to objective problems" in capsys.readouterr().err
+        assert main(["solve", str(path)]) == 0
+
+    def test_theta_rejected_on_objective_problem(self, net_file, capsys):
+        assert main(["solve", str(net_file), "--theta", "0.5"]) == 1
+        assert "--theta only applies to constraint-mode problems" in capsys.readouterr().err
+
     def test_unsat_exit_two(self, tmp_path, four_node_text, capsys):
         text = four_node_text.replace("objective maximize", "constraint >= 1.4")
         text = text.replace("cardinality <= 2\n", "")

@@ -8,6 +8,7 @@ import scopdd as sc
 
 from conftest import (
     enumerate_event_probability,
+    fixed_items,
     make_table,
     random_cubes,
     random_domains,
@@ -67,13 +68,13 @@ class TestEvaluate:
             dd = sc.from_dnf(table, random_cubes(rng, table))
             domains = random_domains(rng, table, p_free=0.3)
             false_vars = [
-                v for v, val in domains.fixed_items() if not val
+                v for v, val in fixed_items(domains) if not val
             ]
             if not false_vars:
                 continue
             lower = sc.evaluate(dd, domains)
             flipped = sc.DomainState(table)
-            for v, val in domains.fixed_items():
+            for v, val in fixed_items(domains):
                 flipped.fix(v, True if v == false_vars[0] else val)
             assert sc.evaluate(dd, flipped) >= lower
 
@@ -138,7 +139,7 @@ class TestDomainState:
         domains.fix(choice.x, True)
         domains.fix(choice.y, False)
         assert domains.true_count() == 1
-        assert domains.value(choice.x) is True
+        assert domains.domain(choice.x) == sc.TRUE_ONLY
         domains.undo_to(mark)
         assert domains.is_free(choice.x) and domains.is_free(choice.y)
         assert domains.true_count() == 0
@@ -159,6 +160,6 @@ class TestDomainState:
 
     def test_fixed_items_lists_only_fixed(self, choice):
         domains = sc.DomainState(choice.vt, fixed={choice.x: True})
-        assert domains.fixed_items() == [(choice.x, True)]
+        assert fixed_items(domains) == [(choice.x, True)]
         domains.fix(choice.y, False)
-        assert dict(domains.fixed_items()) == {choice.x: True, choice.y: False}
+        assert dict(fixed_items(domains)) == {choice.x: True, choice.y: False}

@@ -9,11 +9,11 @@ import pytest
 import scopdd as sc
 from scopdd.cli import random_model_text
 
-from conftest import complete_graph_text, dnf_truth
+from conftest import complete_graph_text, cube_vars, dnf_truth, format_model
 
 
 def cube_names(model, cube):
-    return frozenset(model.vars.name(v) for v in cube.vars())
+    return frozenset(model.vars.name(v) for v in cube_vars(cube))
 
 
 class TestParseNetwork:
@@ -100,14 +100,14 @@ class TestParseNetwork:
 
     def test_round_trip(self, four_node_text):
         model = sc.parse_network(four_node_text)
-        again = sc.parse_network(sc.format_model(model))
+        again = sc.parse_network(format_model(model))
         assert again == model
 
     def test_round_trip_with_order(self, net_model):
         from conftest import PATH_ORDER
 
         ordered = sc.with_order(net_model, PATH_ORDER)
-        again = sc.parse_network(sc.format_model(ordered))
+        again = sc.parse_network(format_model(ordered))
         assert again == ordered
         assert again.vars.order() == PATH_ORDER
 
@@ -229,7 +229,7 @@ class TestOrderRule:
         for i, edge in enumerate(model.network.edges):
             assert model.vars.name(2 * i) == f"t_{edge.u}{edge.v}"
             assert model.vars.name(2 * i + 1) == f"d_{edge.u}{edge.v}"
-        assert sc.parse_network(sc.format_model(model)) == model
+        assert sc.parse_network(format_model(model)) == model
 
     def test_same_events_as_declaration_order(self):
         rng = random.Random(71)
@@ -348,7 +348,7 @@ class TestPathEnumeration:
             cubes = sc.st_path_dnf(net_model, query)
             got = set()
             for cube in cubes:
-                names = [net_model.vars.name(v) for v in cube.vars()]
+                names = [net_model.vars.name(v) for v in cube_vars(cube)]
                 edges = frozenset(
                     frozenset((n[2], n[3])) for n in names if n.startswith("t_")
                 )
@@ -379,7 +379,7 @@ class TestPathEnumeration:
 
     def test_cycle_apply_deeper_than_recursion_limit(self):
         # two 500-edge routes: OR-ing their cubes descends 2,000 levels in
-        # apply, in declaration order, where each route is one block
+        # the OR kernel, in declaration order, where each route is one block
         n = 1000
         lines = [f"node v{i}" for i in range(n)]
         lines += [f"edge v{i} v{(i + 1) % n} 0.9" for i in range(n)]

@@ -1,4 +1,4 @@
-"""Diagram construction, reduction rules, boolean combination, exchange format."""
+"""Diagram construction, reduction rules, the OR kernel, exchange format."""
 
 import itertools
 import random
@@ -6,10 +6,10 @@ import random
 import pytest
 
 import scopdd as sc
-from scopdd import AND, OR
 from scopdd.cli import random_model_text
 
-from conftest import DATA, PATH_ORDER, dnf_truth, make_table, random_cubes
+from conftest import (DATA, PATH_ORDER, cube_node, cube_vars, dnf_truth, fold_dump, make_table,
+                      or_reference, random_cubes, validate)
 
 
 def small_table():
@@ -44,19 +44,18 @@ class TestMkNode:
         dd = sc.Obdd(table)
         with pytest.raises(sc.StructureError):
             dd.mk_node(a, 0, 99)
-        with pytest.raises(sc.StructureError):
-            dd.apply(OR, 0, 99)
 
 
 class TestApply:
+    """``Obdd._or``, the one kernel that combines diagrams, which
+    ``from_dnf`` runs on ids its own store made."""
+
     def test_or_annihilator_and_identity(self):
         table, a, b, c = small_table()
         dd = sc.Obdd(table)
         x = dd.mk_node(a, 0, 1)
-        assert dd.apply(OR, x, 1) == 1
-        assert dd.apply(AND, x, 1) == x
-        assert dd.apply(OR, x, 0) == x
-        assert dd.apply(AND, x, 0) == 0
+        assert dd._or(x, 1) == 1
+        assert dd._or(x, 0) == x
 
     def test_or_of_cubes_matches_truth_table(self):
         # two overlapping conjunctions over six variables
@@ -69,7 +68,7 @@ class TestApply:
         dd = sc.Obdd(table)
         cube_a = sc.Cube.positive([0, 1])
         cube_b = sc.Cube.positive([2, 3, 4, 5])
-        root = dd.apply(OR, dd.cube(cube_a), dd.cube(cube_b))
+        root = dd._or(cube_node(dd, cube_a), cube_node(dd, cube_b))
         for bits in itertools.product([False, True], repeat=6):
             assignment = dict(enumerate(bits))
             expected = dnf_truth([cube_a, cube_b], assignment)
@@ -81,51 +80,30 @@ class TestApply:
             table = make_table(rng, 4, 4)
             cubes = random_cubes(rng, table)
             dd = sc.Obdd(table)
-            nodes = [dd.cube(c) for c in cubes]
+            nodes = [cube_node(dd, c) for c in cubes]
             left = 0
             for n in nodes:
-                left = dd.apply(OR, left, n)
+                left = dd._or(left, n)
             right = 0
             for n in reversed(nodes):
-                right = dd.apply(OR, right, n)
+                right = dd._or(right, n)
             assert left == right
 
-    def test_interleaved_ops_match_truth_table(self):
-        """AND and OR calls alternate on one store, each operand pair under
-        both ops, so a memo entry of one op can never answer the other."""
+    def test_matches_shannon_reference(self):
+        """On one store, the kernel and the test-side Shannon expansion
+        return the same id for every pair drawn from a growing pool, so
+        they build the same reduced diagram."""
         rng = random.Random(17)
         for _ in range(8):
             table = make_table(rng, 4, 4)
-            dd = sc.Obdd(table)
-            pool = []
-            for _ in range(6):
-                root = 0
-                for cube in random_cubes(rng, table, max_cubes=4):
-                    root = dd.apply(OR, root, dd.cube(cube))
-                pool.append(root)
-            assignments = [dict(enumerate(bits))
-                           for bits in itertools.product([False, True], repeat=len(table))]
+            dd, memo = sc.Obdd(table), {}
+            pool = [cube_node(dd, cube) for cube in random_cubes(rng, table, max_cubes=8)]
             for _ in range(30):
                 x, y = rng.choice(pool), rng.choice(pool)
-                for op in rng.sample([AND, OR], 2):
-                    result = dd.apply(op, x, y)
-                    combine = all if op == AND else any
-                    for assignment in assignments:
-                        expected = combine((dd.eval_bool(assignment, x),
-                                            dd.eval_bool(assignment, y)))
-                        assert dd.eval_bool(assignment, result) == expected
-                    pool.append(result)
-            sc.validate(dd, pool[-1])
-
-
-def fold_dump(table, cubes) -> str:
-    """Reference compile: OR the cubes into the growing disjunction one at a
-    time, in a fresh store, through the public ``apply``."""
-    dd = sc.Obdd(table)
-    root = 0
-    for cube in cubes:
-        root = dd.apply(OR, root, dd.cube(cube))
-    return sc.dump_obdd(dd, root)
+                result = dd._or(x, y)
+                assert result == or_reference(dd, x, y, memo)
+                pool.append(result)
+            validate(dd, pool[-1])
 
 
 def nested_cubes(rng: random.Random, table: sc.VariableTable) -> list[sc.Cube]:
@@ -133,7 +111,7 @@ def nested_cubes(rng: random.Random, table: sc.VariableTable) -> list[sc.Cube]:
     other subsets and supersets, now and then the empty cube, shuffled."""
     cubes = random_cubes(rng, table, max_cubes=9)
     for cube in list(cubes):
-        by_level = sorted(cube.vars(), key=table.level)
+        by_level = sorted(cube_vars(cube), key=table.level)
         pick = rng.randrange(4)
         if pick == 0:
             cubes.append(cube)
@@ -159,7 +137,7 @@ class TestTrieCompile:
     def _check(self, rng, table, cubes):
         expected = fold_dump(table, cubes)
         dd = sc.from_dnf(table, (cube for cube in cubes))
-        sc.validate(dd)
+        validate(dd)
         assert sc.dump_obdd(dd) == expected
         assert len(dd) == len(dd.rows()) + 2  # the compact copy of the root
         shuffled = list(cubes)
@@ -235,7 +213,7 @@ class TestFromDnf:
             table = make_table(rng, rng.randint(1, 6), rng.randint(1, 6))
             cubes = random_cubes(rng, table)
             dd = sc.from_dnf(table, cubes)
-            sc.validate(dd)
+            validate(dd)
             k = len(table)
             for bits in itertools.product([False, True], repeat=k):
                 assignment = dict(enumerate(bits))
@@ -275,7 +253,7 @@ class TestFromDnf:
         root = dd.mk_node(ix["t_cd"], n_dac_l, n_dcd)
         assert root == dd.root
         assert len(dd.internal_nodes()) == 12
-        sc.validate(dd)
+        validate(dd)
 
 
 def with_shuffled_levels(rng: random.Random, table: sc.VariableTable):
@@ -315,7 +293,7 @@ class TestLevels:
                 rng, make_table(rng, rng.randint(1, 5), rng.randint(1, 5)))
             cubes = random_cubes(rng, table)
             dd = sc.from_dnf(table, cubes)
-            sc.validate(dd)
+            validate(dd)
             levels = [dd.level(row[0]) for row in dd.rows()]
             assert levels == sorted(levels)
             for node, var, lo, hi, w in dd.rows():
@@ -353,17 +331,13 @@ class TestLevels:
 class TestCompactStore:
     """Compiled and loaded stores hold exactly the nodes reachable from the
     root, and compaction changes no structure: a raw store that ORs the same
-    cubes with ``apply`` dumps to the same text."""
+    cubes through the test-side Shannon expansion dumps to the same text."""
 
     def _check_against_raw(self, model, query):
         cubes = sc.st_path_dnf(model, query)
         dd = sc.from_dnf(model.vars, cubes)
         assert len(dd) == len(dd.internal_nodes()) + 2
-        raw = sc.Obdd(model.vars)
-        root = 0
-        for cube in cubes:
-            root = raw.apply(OR, root, raw.cube(cube))
-        assert sc.dump_obdd(dd) == sc.dump_obdd(raw, root)
+        assert sc.dump_obdd(dd) == fold_dump(model.vars, cubes)
 
     def test_compiled_store_is_reachable_part(self, net_model, ordered_model):
         for model in (net_model, ordered_model):
@@ -451,7 +425,7 @@ class TestExchangeFormat:
 
     def test_forced_choice_file_shape(self, choice):
         assert len(choice.dd.internal_nodes()) == 6
-        assert choice.vt.prob(choice.vt.index("r")) == 0.9
+        assert choice.vt.info(choice.vt.index("r")).prob == 0.9
         assert [i.name for i in choice.vt] == ["r", "x", "y", "s", "t"]
 
     def test_unknown_child_id(self):

@@ -11,6 +11,7 @@ from scopdd.propagate import PropagationScratch, sweep_path_weights
 from scopdd.evaluate import sweep_values
 
 from conftest import (
+    fixed_items,
     make_table,
     pick_theta,
     random_cubes,
@@ -211,7 +212,7 @@ class TestDcPropagate:
         assert scratch.root_value() != pytest.approx(sc.dc_propagate(terms, d2.copy(), 0.0).bound)
         with pytest.raises(ValueError, match="different domain state"):
             sc.dc_propagate(terms, d2, 0.0, scratch=scratch)
-        assert d2.fixed_items() == [(problem.vars.index("d_ab"), False)]
+        assert fixed_items(d2) == [(problem.vars.index("d_ab"), False)]
 
     @pytest.mark.parametrize("propagate", [sc.dc_propagate, sc.naive_propagate])
     def test_nan_theta_rejected(self, choice, propagate):

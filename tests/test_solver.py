@@ -9,8 +9,8 @@ import scopdd as sc
 from scopdd import solver as solver_module
 from scopdd.cli import random_model_text
 
-from conftest import (all_strategies, make_table, pick_theta, random_cubes, random_domains,
-                      score_table)
+from conftest import (all_strategies, fixed_items, make_table, pick_theta, random_cubes,
+                      random_domains, score_table)
 
 
 def feasible_strategies(problem):
@@ -405,7 +405,7 @@ class TestPropagationLoop:
         result, _ = run_loop(domains, problem)
         assert result.ok
         assert dict(result.fixed) == {choice.y: True, choice.x: False}
-        assert dict(domains.fixed_items()) == {choice.x: False, choice.y: True}
+        assert dict(fixed_items(domains)) == {choice.x: False, choice.y: True}
 
     def test_no_constraints_is_noop(self, choice):
         problem = sc.Problem(
@@ -439,6 +439,25 @@ class TestPropagationLoop:
                 for var, value in result.fixed:
                     assert all(s[var] == value for s in solutions)
         assert checked > 30
+
+
+class TestStrategyValue:
+    TRIANGLE = ("node a\nnode b\nnode c\nedge a b 0.5\nedge b c 0.5\nedge a c 0.5\n"
+                "query a c\nconstraint >= 0\n")
+
+    def test_incomplete_strategy_rejected(self):
+        # with every edge free, the a -> c value would be the bound .5 + .5 * .25
+        problem = sc.build_problem(sc.parse_network(self.TRIANGLE))
+        terms, table = problem.constraints[0].terms, problem.vars
+        with pytest.raises(ValueError, match="free: d_ab, d_bc, d_ac"):
+            sc.strategy_value(terms, table, {})
+        ac = table.index("d_ac")
+        with pytest.raises(ValueError, match="free: d_ab, d_bc$"):
+            sc.strategy_value(terms, table, {ac: True})
+        only_ac = {var: var == ac for var in table.decision_ids()}
+        assert sc.strategy_value(terms, table, only_ac) == pytest.approx(0.5, abs=1e-12)
+        every = dict.fromkeys(table.decision_ids(), True)
+        assert sc.strategy_value(terms, table, every) == pytest.approx(0.625, abs=1e-12)
 
 
 class TestSolveSat:
