@@ -70,11 +70,11 @@ class DecisionEquation:
 
 @dataclass
 class LinearSystem:
-    """The decomposed constraint: one entry per internal diagram node."""
+    """The decomposed constraint: one equation per decision node; each
+    stochastic node is folded into the affine expressions above it."""
 
     theta: float
     decision_eqs: list[DecisionEquation]
-    stochastic_exprs: dict[NodeKey, Affine]
     root_expr: Affine
     var_names: dict[NodeKey, str]
 
@@ -86,7 +86,6 @@ def decompose(terms: list[ConstraintTerm], theta: float) -> LinearSystem:
     if math.isnan(theta):
         raise ValueError("theta must not be NaN")
     decision_eqs: list[DecisionEquation] = []
-    stochastic_exprs: dict[NodeKey, Affine] = {}
     var_names: dict[NodeKey, str] = {}
     root_expr = Affine()
     for ti, term in enumerate(terms):
@@ -106,14 +105,13 @@ def decompose(terms: list[ConstraintTerm], theta: float) -> LinearSystem:
                 exprs[node] = Affine(0.0, ((key, 1.0),))
                 var_names[key] = f"v({info.name}#{node})"
             else:
-                stochastic_exprs[key] = exprs[dd.hi(node)].scaled(info.prob).plus(
+                exprs[node] = exprs[dd.hi(node)].scaled(info.prob).plus(
                     exprs[dd.lo(node)].scaled(1.0 - info.prob)
                 )
-                exprs[node] = stochastic_exprs[key]
         term_eqs.reverse()  # topological: root side first
         decision_eqs.extend(term_eqs)
         root_expr = root_expr.plus(exprs[dd.root].scaled(term.reward))
-    return LinearSystem(theta, decision_eqs, stochastic_exprs, root_expr, var_names)
+    return LinearSystem(theta, decision_eqs, root_expr, var_names)
 
 
 @dataclass

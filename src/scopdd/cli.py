@@ -12,6 +12,7 @@ import json
 import random
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .baseline import bounds_propagate, decompose
@@ -19,8 +20,8 @@ from .errors import ScopddError
 from .evaluate import DomainState
 from .model_io import build_problem, parse_network, with_order
 from .obdd import dump_dot, dump_obdd, load_obdd
-from .propagate import (ConstraintTerm, constraint_scratch, dc_propagate, incremental_fix,
-                        naive_propagate)
+from .propagate import (THRESHOLD_EPS, ConstraintTerm, constraint_scratch, dc_propagate,
+                        incremental_fix, naive_propagate)
 from .solver import solve_opt, solve_sat, strategy_value
 
 EXIT_OK = 0
@@ -181,6 +182,11 @@ def cmd_propagate(args) -> int:
     # per-variable bound drops under the initial domains
     drops = dict.fromkeys(initial.free_vars(), 0.0)
     drops.update(dc_result.drops)
+    # a negative drop proves that the distribution is not monotone
+    rising = [table.name(v) for v, d in sorted(drops.items()) if d < -THRESHOLD_EPS]
+    if rising:
+        raise ScopddError("diagrams are not monotone in the decisions: fixing "
+                          f"{', '.join(rising)} to 0 raises the bound")
     system = decompose(terms, args.theta)
     base = bounds_propagate(system, initial.copy())
 
@@ -261,7 +267,7 @@ def cmd_solve(args) -> int:
                 problem.vars.name(v): int(val) for v, val in sorted(strategy.items())
             },
             "value": value,
-            "stats": stats.as_dict(),
+            "stats": asdict(stats),
             "compile": [
                 {"source": r.query.source, "target": r.query.target,
                  "paths": r.paths, "nodes": r.nodes}
@@ -277,7 +283,7 @@ def cmd_solve(args) -> int:
             )
             print(f"strategy: {text}")
             print(f"value: {value:.9f}")
-        for key, val in stats.as_dict().items():
+        for key, val in asdict(stats).items():
             if key == "wall_time":
                 print(f"{key}: {val:.6f}")
             else:

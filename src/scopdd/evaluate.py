@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .obdd import DECISION, Obdd, Roots, Row, VariableTable
+from .obdd import DECISION, Obdd, Row, VariableTable
 
 # decision-variable domains
 FALSE_ONLY = 0
@@ -105,10 +105,32 @@ def _value_pass(rows: list[Row], dom: list[int], val: list[float], end: int) -> 
             val[node] = w * val[hi] + (1.0 - w) * val[lo]
 
 
-def sweep_values(dd: Obdd, domains: DomainState, root: Roots = None) -> list[float]:
-    """One children-first pass of the node-value recurrence below the root
-    or roots; free decisions count as true.  Returns an array by node id."""
-    rows = dd.rows(root)
+def _path_pass(rows: list[Row], dom: list[int], size: int,
+               seeds: list[tuple[int, float]]) -> list[float]:
+    """The path-weight loop over all rows, from the (root, weight) seeds;
+    returns a fresh array of ``size`` entries, by node id."""
+    pi = [0.0] * size
+    for root, weight in seeds:
+        pi[root] += weight
+    for node, var, lo, hi, w in rows:
+        p = pi[node]
+        if p == 0.0:
+            continue
+        if w is None:
+            if dom[var] != FALSE_ONLY:
+                pi[hi] += p
+            else:
+                pi[lo] += p
+        else:
+            pi[hi] += w * p
+            pi[lo] += (1.0 - w) * p
+    return pi
+
+
+def sweep_values(dd: Obdd, domains: DomainState) -> list[float]:
+    """One children-first pass of the node-value recurrence below the root;
+    free decisions count as true.  Returns an array by node id."""
+    rows = dd.rows()
     val = [0.0] * len(dd)
     val[1] = 1.0
     _value_pass(rows, domains._dom, val, len(rows))

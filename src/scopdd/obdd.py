@@ -18,8 +18,8 @@ is the one way two diagrams are combined.  ``from_dnf`` and
 ``load_obdd`` build in a working store and return a compact copy holding
 only the nodes reachable from the root, so ``len(dd)`` is the reachable
 node count plus the two terminals; the working store, with its OR memo,
-is dropped.  Every sweep runs over a diagram's ``rows``,
-which may start at several roots of one store.
+is dropped.  A cube is its variable indices.  Every public traversal
+starts at ``root``; only a constraint's scratch walks several roots.
 
 The text exchange format is line oriented (``#`` starts a comment):
 
@@ -48,8 +48,6 @@ TRUE_NODE = 1
 # (node, var, lo, hi, w): w is the probability of a stochastic node, None
 # for a decision node
 Row = tuple[int, int, int, int, float | None]
-# one root id or several; None means the diagram's own root
-Roots = int | Iterable[int] | None
 
 
 class VarInfo(NamedTuple):
@@ -160,22 +158,21 @@ class VariableTable:
 
 @dataclass(frozen=True)
 class Cube:
-    """A conjunction of literals, stored as (variable index, polarity) pairs."""
+    """A conjunction of positive literals: its variable indices, ascending
+    and distinct."""
 
-    literals: tuple[tuple[int, bool], ...]
+    vars: tuple[int, ...]
 
     def __post_init__(self):
-        lits = tuple(sorted((int(v), bool(p)) for v, p in self.literals))
-        seen = set()
-        for v, _ in lits:
-            if v in seen:
-                raise ValueError(f"variable {v} appears twice in cube")
-            seen.add(v)
-        object.__setattr__(self, "literals", lits)
+        ids = tuple(sorted(int(v) for v in self.vars))
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise ValueError(f"variable {a} appears twice in cube")
+        object.__setattr__(self, "vars", ids)
 
     @staticmethod
     def positive(var_ids: Iterable[int]) -> "Cube":
-        return Cube(tuple((v, True) for v in var_ids))
+        return Cube(tuple(var_ids))
 
 
 class Obdd:
@@ -196,7 +193,7 @@ class Obdd:
         self._unique: dict[tuple[int, int, int], int] = {}
         # the OR kernel's memo, keyed by min(a, b) << 32 | max(a, b)
         self._or_memo: dict[int, int] = {}
-        self._rows_cache: dict[tuple[int, ...], list[Row]] = {}
+        self._rows_cache: dict[int, list[Row]] = {}  # by root
 
     # -- store access -------------------------------------------------
 
@@ -343,25 +340,27 @@ class Obdd:
                     stack.append(child)
         return seen
 
-    def internal_nodes(self, root: int | None = None) -> list[int]:
-        return [row[0] for row in self.rows(root)]
+    def internal_nodes(self) -> list[int]:
+        return [row[0] for row in self.rows()]
 
-    def rows(self, root: Roots = None) -> list[Row]:
-        """Internal nodes reachable from the root or roots, as ``Row``s
-        sorted by (level, id); built once per set of roots."""
-        if root is None:
-            root = self.root
-        roots = (root,) if isinstance(root, int) else tuple(sorted(set(root)))
-        rows = self._rows_cache.get(roots)
+    def rows(self) -> list[Row]:
+        """Internal nodes reachable from the root, as ``Row``s sorted by
+        (level, id); built once per root."""
+        rows = self._rows_cache.get(self.root)
         if rows is None:
-            for node in roots:
-                self._check_node(node)
-            lvl_of, by_level, infos = self._lvl, self.vars._by_level, self.vars._infos
-            rows = self._rows_cache[roots] = []
-            for node in sorted((n for n in self._reachable(roots) if n >= 2),
-                               key=lambda n: (lvl_of[n], n)):
-                var = by_level[lvl_of[node]]
-                rows.append((node, var, self._lo[node], self._hi[node], infos[var].prob))
+            rows = self._rows_cache[self.root] = self._rows_from((self.root,))
+        return rows
+
+    def _rows_from(self, roots: set[int]) -> list[Row]:
+        """``rows`` below several roots of this store, built afresh."""
+        for node in roots:
+            self._check_node(node)
+        lvl_of, by_level, infos = self._lvl, self.vars._by_level, self.vars._infos
+        rows = []
+        for node in sorted((n for n in self._reachable(roots) if n >= 2),
+                           key=lambda n: (lvl_of[n], n)):
+            var = by_level[lvl_of[node]]
+            rows.append((node, var, self._lo[node], self._hi[node], infos[var].prob))
         return rows
 
     def _copy(self, source: "Obdd", root: int) -> int:
@@ -382,9 +381,9 @@ class Obdd:
         dd.root = dd._copy(self, root)
         return dd
 
-    def eval_bool(self, assignment: Mapping[int, bool], root: int | None = None) -> bool:
+    def eval_bool(self, assignment: Mapping[int, bool]) -> bool:
         """Truth value under a full assignment (walks one root-terminal path)."""
-        node = self.root if root is None else root
+        node = self.root
         self._check_node(node)
         while node >= 2:
             var = self.var_of(node)
@@ -396,19 +395,12 @@ class Obdd:
 
 def _cube_levels(variables: VariableTable, cube: Cube) -> tuple[int, ...]:
     """The levels of the cube's variables, ascending; rejects a variable
-    outside the table and a negative literal, the one literal check of
-    ``from_dnf``."""
-    levels = []
-    for var, polarity in cube.literals:
-        if not 0 <= var < len(variables):
+    outside the table."""
+    level = variables._level
+    for var in cube.vars:
+        if not 0 <= var < len(level):
             raise StructureError(f"cube references unknown variable {var}")
-        if not polarity:
-            raise StructureError(
-                f"negative literal on {variables.name(var)!r}: "
-                "only monotone formulas are accepted"
-            )
-        levels.append(variables._level[var])
-    return tuple(sorted(levels))
+    return tuple(sorted(level[var] for var in cube.vars))
 
 
 def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
@@ -557,11 +549,11 @@ def load_obdd(text: str) -> Obdd:
     return dd._compact(root)
 
 
-def _canonical_ids(dd: Obdd, root: int | None = None) -> dict[int, int]:
+def _canonical_ids(dd: Obdd) -> dict[int, int]:
     """Structure-only renumbering: isomorphic diagrams get identical ids."""
     canon = {FALSE_NODE: FALSE_NODE, TRUE_NODE: TRUE_NODE}
     by_level: dict[int, list[int]] = {}
-    for node in dd.internal_nodes(root):
+    for node in dd.internal_nodes():
         by_level.setdefault(dd.level(node), []).append(node)
     next_id = 2
     for level in sorted(by_level, reverse=True):
@@ -571,7 +563,7 @@ def _canonical_ids(dd: Obdd, root: int | None = None) -> dict[int, int]:
     return canon
 
 
-def dump_obdd(dd: Obdd, root: int | None = None) -> str:
+def dump_obdd(dd: Obdd) -> str:
     """Serialize to the exchange format, children before parents.
 
     Node ids are renumbered canonically, so isomorphic diagrams over equal
@@ -579,8 +571,6 @@ def dump_obdd(dd: Obdd, root: int | None = None) -> str:
     order, followed by an ``order`` line exactly when their levels differ
     from it, so ``load_obdd`` restores both.
     """
-    if root is None:
-        root = dd.root
     lines = []
     for info in dd.vars:
         if info.kind == DECISION:
@@ -590,19 +580,19 @@ def dump_obdd(dd: Obdd, root: int | None = None) -> str:
     order = dd.vars.order()
     if order != [info.name for info in dd.vars]:
         lines.append("order " + " ".join(order))
-    canon = _canonical_ids(dd, root)
+    canon = _canonical_ids(dd)
     for node in sorted((n for n in canon if n >= 2), key=canon.get):
         lines.append(
             f"node {canon[node]} {dd.vars.name(dd.var_of(node))} "
             f"{canon[dd.lo(node)]} {canon[dd.hi(node)]}"
         )
-    lines.append(f"root {canon[root]}")
+    lines.append(f"root {canon[dd.root]}")
     return "\n".join(lines) + "\n"
 
 
 def dump_dot(dd: Obdd) -> str:
     """Graphviz rendering: boxes for decision nodes, circles for stochastic,
-    dashed lo arcs and solid hi arcs."""
+    dashed lo arcs, solid hi arcs, names escaped for DOT's quoted labels."""
     lines = ["digraph obdd {"]
     order = dd.topo_order()
     for node in order:
@@ -610,10 +600,11 @@ def dump_dot(dd: Obdd) -> str:
             lines.append(f'  n{node} [label="{node}", shape=box, peripheries=2];')
             continue
         info = dd.vars.info(dd.var_of(node))
+        name = info.name.replace("\\", "\\\\").replace('"', '\\"')
         if info.kind == DECISION:
-            lines.append(f'  n{node} [label="{info.name}", shape=box];')
+            lines.append(f'  n{node} [label="{name}", shape=box];')
         else:
-            lines.append(f'  n{node} [label="{info.name}\\n{info.prob!r}", shape=circle];')
+            lines.append(f'  n{node} [label="{name}\\n{info.prob!r}", shape=circle];')
     for node in order:
         if node >= 2:
             lines.append(f"  n{node} -> n{dd.lo(node)} [style=dashed];")

@@ -1,8 +1,8 @@
 """Domain-consistent propagation for monotone threshold constraints.
 
 The constraint has the shape ``sum_i r_i * P(event_i | strategy) >= theta``
-over diagrams that are monotone in the decision variables.  Three
-propagators live here:
+over diagrams whose probability never falls when a decision goes from
+0 to 1.  Three propagators live here:
 
 * ``naive_propagate`` re-evaluates every diagram once per free variable
   (O(m*n) node visits) and serves as the oracle;
@@ -18,8 +18,11 @@ A constraint has one scratch: ``constraint_scratch`` puts its terms'
 diagrams in one store and seeds each term's root with its reward.  Node
 values do not depend on the root and path weights are linear in the seeds,
 so ``root_value()`` is the bound and ``drops()`` the reward-weighted drops.
-Without a scratch, ``dc_propagate`` builds one.  Every pass in the package
-is ``sweep_path_weights`` or the value loop ``evaluate._value_pass``.
+Without a scratch, ``dc_propagate`` builds one.  The scratch is the one
+sweep over several roots: it walks its rows once, and its build and every
+repair run the package's two loops, ``evaluate._path_pass`` and
+``evaluate._value_pass``, on them.  The public sweeps run the same two
+loops on the diagram's own ``rows``.
 
 The derivative identity behind ``dc_propagate``: for a free decision
 variable d, the optimistic bound drops by exactly
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .evaluate import (BOTH, FALSE_ONLY, DomainState, _check_compatible, _value_pass,
+from .evaluate import (BOTH, DomainState, _check_compatible, _path_pass, _value_pass,
                        sweep_values)
 from .obdd import Obdd
 
@@ -90,35 +93,14 @@ def _check_terms(terms, domains: DomainState) -> None:
         _check_compatible(term.obdd, domains)
 
 
-def sweep_path_weights(dd: Obdd, domains: DomainState,
-                       seeds: list[tuple[int, float]] | None = None) -> list[float]:
+def sweep_path_weights(dd: Obdd, domains: DomainState) -> list[float]:
     """Top-down pass: weight of all valid root-to-node paths, per node.
 
-    ``seeds`` are (root, weight) pairs, by default the diagram's root with
-    weight 1; a path counts with the weight of the root it starts at.
     Valid paths take the hi arc out of true and free decision nodes, the lo
     arc out of false ones, and both arcs (probability-weighted) out of
     stochastic nodes.  Returns an array indexed by node id.
     """
-    if seeds is None:
-        seeds = [(dd.root, 1.0)]
-    pi = [0.0] * len(dd)
-    for root, weight in seeds:
-        pi[root] += weight
-    dom = domains._dom
-    for node, var, lo, hi, w in dd.rows(root for root, _ in seeds):
-        p = pi[node]
-        if p == 0.0:
-            continue
-        if w is None:
-            if dom[var] != FALSE_ONLY:
-                pi[hi] += p
-            else:
-                pi[lo] += p
-        else:
-            pi[hi] += w * p
-            pi[lo] += (1.0 - w) * p
-    return pi
+    return _path_pass(dd.rows(), domains._dom, len(dd), [(dd.root, 1.0)])
 
 
 def compute_path_weights(dd: Obdd, domains: DomainState) -> dict[int, float]:
@@ -258,12 +240,12 @@ class PropagationScratch:
 
     ``seeds`` are (root, weight) pairs, by default the diagram's root with
     weight 1; ``root_value()`` and ``drops()`` are sums weighted by them.
-    Every pass is one of the package's two sweep loops over the store's
-    level-ordered ``rows``, so ``pi`` and ``val`` are always bit-identical
-    to a full recompute.  A repair never edits either list: it replaces
-    both, so the pair held is a complete snapshot and is its own mark.
-    ``visits`` counts the nodes read: two per row at build, each repair's
-    rows, each drop read.
+    The scratch walks the level-ordered rows below its roots once, and its
+    build and every repair run the package's two sweep loops over them, so
+    ``pi`` and ``val`` are always bit-identical to a full recompute.  A
+    repair never edits either list: it replaces both, so the pair held is a
+    complete snapshot and is its own mark.  ``visits`` counts the nodes
+    read: two per row at build, each repair's rows, each drop read.
     """
 
     def __init__(self, dd: Obdd, domains: DomainState,
@@ -272,8 +254,9 @@ class PropagationScratch:
         self.dd = dd
         self.domains = domains
         self.seeds = [(dd.root, 1.0)] if seeds is None else list(seeds)
-        roots = [root for root, _ in self.seeds]
-        self.rows = dd.rows(roots)
+        roots = {root for root, _ in self.seeds}
+        # a scratch on the diagram's own root shares the rows the diagram caches
+        self.rows = dd.rows() if roots == {dd.root} else dd._rows_from(roots)
         # decision variable -> (node, lo, hi) of each node it labels
         self.var_nodes: dict[int, list[tuple[int, int, int]]] = {}
         # decision variable -> one past the last row at its level (0: no nodes)
@@ -282,8 +265,10 @@ class PropagationScratch:
             if w is None:
                 self.var_nodes.setdefault(var, []).append((node, lo, hi))
                 self._end[var] = end
-        self.pi = sweep_path_weights(dd, domains, self.seeds)
-        self.val = sweep_values(dd, domains, roots)
+        self.pi = _path_pass(self.rows, domains._dom, len(dd), self.seeds)
+        self.val = [0.0] * len(dd)
+        self.val[1] = 1.0
+        _value_pass(self.rows, domains._dom, self.val, len(self.rows))
         self.visits = 2 * len(self.rows)
 
     def root_value(self) -> float:
@@ -322,7 +307,7 @@ class PropagationScratch:
         end = max((self._end[var] for var, value in fixes if not value), default=0)
         if not end:
             return 0
-        self.pi = sweep_path_weights(self.dd, self.domains, self.seeds)
+        self.pi = _path_pass(self.rows, self.domains._dom, len(self.dd), self.seeds)
         self.val = list(self.val)
         _value_pass(self.rows, self.domains._dom, self.val, end)
         touched = len(self.rows) + end

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .evaluate import TRUE_ONLY, DomainState, evaluate
 from .obdd import VariableTable
@@ -64,9 +64,6 @@ class SearchStats:
     node_visits: int = 0
     incumbents: int = 0
     wall_time: float = 0.0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def cardinality_propagate(domains: DomainState, bound: int) -> PropagationResult:

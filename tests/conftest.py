@@ -164,7 +164,7 @@ def complete_graph_text(n: int) -> str:
 
 def dnf_truth(cubes, assignment) -> bool:
     return any(
-        all(assignment[v] == polarity for v, polarity in cube.literals)
+        all(assignment[v] for v in cube.vars)
         for cube in cubes
     )
 
@@ -187,10 +187,6 @@ def stochastic_ids(table: sc.VariableTable) -> list[int]:
     return [info.index for info in table if info.kind == sc.STOCHASTIC]
 
 
-def cube_vars(cube: sc.Cube) -> list[int]:
-    return [var for var, _ in cube.literals]
-
-
 def fixed_items(domains: sc.DomainState) -> list[tuple[int, bool]]:
     """(variable, value) of each fixed decision variable, by index."""
     return [
@@ -199,10 +195,10 @@ def fixed_items(domains: sc.DomainState) -> list[tuple[int, bool]]:
     ]
 
 
-def validate(dd: sc.Obdd, root: int | None = None) -> None:
+def validate(dd: sc.Obdd) -> None:
     """Full-scan check of the reduced / ordered / unique invariants."""
     triples = set()
-    for node in dd.internal_nodes(root):
+    for node in dd.internal_nodes():
         var, lo, hi = dd.var_of(node), dd.lo(node), dd.hi(node)
         assert lo != hi, f"node {node} is not reduced (lo == hi)"
         assert dd.level(node) < min(dd.level(lo), dd.level(hi)), \
@@ -213,9 +209,8 @@ def validate(dd: sc.Obdd, root: int | None = None) -> None:
 
 def cube_node(dd: sc.Obdd, cube: sc.Cube) -> int:
     """Diagram of one monotone conjunction, chained deepest level first."""
-    assert all(polarity for _, polarity in cube.literals)
     node = sc.TRUE_NODE
-    for var in sorted(cube_vars(cube), key=dd.vars.level, reverse=True):
+    for var in sorted(cube.vars, key=dd.vars.level, reverse=True):
         node = dd.mk_node(var, sc.FALSE_NODE, node)
     return node
 
@@ -245,10 +240,9 @@ def fold_dump(table: sc.VariableTable, cubes) -> str:
     """Reference compile: OR the cubes into the growing disjunction one at a
     time, in a fresh store, through ``or_reference``."""
     dd, memo = sc.Obdd(table), {}
-    root = sc.FALSE_NODE
     for cube in cubes:
-        root = or_reference(dd, root, cube_node(dd, cube), memo)
-    return sc.dump_obdd(dd, root)
+        dd.root = or_reference(dd, dd.root, cube_node(dd, cube), memo)
+    return sc.dump_obdd(dd)
 
 
 def format_model(model: sc.ParsedModel) -> str:

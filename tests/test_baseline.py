@@ -59,7 +59,8 @@ class TestDecompose:
         table.add_decision("a")
         dd = sc.from_dnf(table, [])
         system = sc.decompose([sc.ConstraintTerm(dd)], 0.5)
-        assert len(system.decision_eqs) + len(system.stochastic_exprs) == 0
+        stochastic_rows = sum(w is not None for *_, w in dd.rows())
+        assert len(system.decision_eqs) + stochastic_rows == 0
         assert system.decision_eqs == []
         assert system.root_expr == sc.Affine(0.0)
 
@@ -68,7 +69,8 @@ class TestDecompose:
         for _ in range(30):
             table, terms = random_instance(rng, max_dec=6, max_sto=6, n_terms=2)
             system = sc.decompose(terms, 0.3)
-            assert len(system.decision_eqs) + len(system.stochastic_exprs) == sum(
+            stochastic_rows = sum(w is not None for t in terms for *_, w in t.obdd.rows())
+            assert len(system.decision_eqs) + stochastic_rows == sum(
                 len(t.obdd.internal_nodes()) for t in terms
             )
 

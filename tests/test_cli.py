@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import shlex
 import shutil
 from pathlib import Path
@@ -115,6 +116,22 @@ class TestCompile:
         assert "style=dashed" in dot and "style=solid" in dot
         assert "shape=box" in dot and "shape=circle" in dot
 
+    def test_dot_labels_escape_quotes_and_backslashes(self, tmp_path, capsys):
+        src = tmp_path / "q.scop"
+        src.write_text('node a"x\nnode b\\y\nedge a"x b\\y 0.5\nquery a"x b\\y\n'
+                       "objective maximize\n")
+        assert main(["compile", str(src), "--out-dir", str(tmp_path), "--dot"]) == 0
+        # a quoted label is plain characters or backslash escapes
+        node_line = re.compile(
+            r'  n\d+ \[label="((?:[^"\\]|\\.)*)", shape=\w+(, peripheries=2)?\];')
+        labels = set()
+        for line in (tmp_path / 'a"x-b\\y.dot').read_text().splitlines():
+            if "label=" in line:
+                found = node_line.fullmatch(line)
+                assert found, line
+                labels.add(re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], found[1]))
+        assert labels == {'t_a"xb\\y\n0.5', 'd_a"xb\\y', "0", "1"}
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.scop"
         bad.write_text("node a\nedge a z 0.5\n")
@@ -214,6 +231,28 @@ class TestPropagateCmd:
         assert main(argv + ["--json"]) == code
         assert json.loads(capsys.readouterr().out) == record
         assert len(built) == 2
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_falling_probability_exit_one(self, tmp_path, capsys, json_flag):
+        # setting d_y true makes the event false: d_x=1, d_y=0 is worth 0.9,
+        # while the optimistic bound (every free decision true) reads 0
+        path = tmp_path / "neg.obdd"
+        path.write_text("var d_x decision\nvar t_a stochastic 0.9\nvar d_y decision\n"
+                        "node 2 d_y 1 0\nnode 3 t_a 0 2\nnode 4 d_x 0 3\nroot 4\n")
+        assert main(["propagate", str(path), "--theta", "0.5"] + json_flag) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not monotone" in captured.err and "fixing d_y to 0" in captured.err
+
+    @pytest.mark.parametrize("fix", [[], ["--fix", "x=0"], ["--fix", "x=1"], ["--fix", "y=0"],
+                                     ["--fix", "y=1"], ["--fix", "x=0,y=0"], ["--fix", "x=0,y=1"],
+                                     ["--fix", "x=1,y=0"], ["--fix", "x=1,y=1"]])
+    def test_forced_choice_passes_the_monotone_check(self, choice_file, capsys, fix):
+        # node 5 reads lo = t and hi = s, so the file is not monotone as a
+        # Boolean function, yet no drop is negative at any fix state
+        code = main(["propagate", str(choice_file), "--theta", "0.4", "--json"] + fix)
+        assert code in (0, 2)
+        assert min(json.loads(capsys.readouterr().out)["drops"].values(), default=0.0) >= 0.0
 
     def test_unknown_fix_name(self, choice_file, capsys):
         assert main(["propagate", str(choice_file), "--theta", "0.4", "--fix", "q=1"]) == 1

@@ -9,11 +9,11 @@ import pytest
 import scopdd as sc
 from scopdd.cli import random_model_text
 
-from conftest import complete_graph_text, cube_vars, dnf_truth, format_model
+from conftest import complete_graph_text, dnf_truth, format_model
 
 
 def cube_names(model, cube):
-    return frozenset(model.vars.name(v) for v in cube_vars(cube))
+    return frozenset(model.vars.name(v) for v in cube.vars)
 
 
 class TestParseNetwork:
@@ -348,7 +348,7 @@ class TestPathEnumeration:
             cubes = sc.st_path_dnf(net_model, query)
             got = set()
             for cube in cubes:
-                names = [net_model.vars.name(v) for v in cube_vars(cube)]
+                names = [net_model.vars.name(v) for v in cube.vars]
                 edges = frozenset(
                     frozenset((n[2], n[3])) for n in names if n.startswith("t_")
                 )
@@ -430,10 +430,10 @@ def recursive_cubes(model, query):
 
     def walk(at):
         if at == query.target:
-            literals = []
+            ids = []
             for i in path:
-                literals += [(2 * i + 1, True), (2 * i, True)]
-            cubes.append(sc.Cube(tuple(literals)))
+                ids += [2 * i + 1, 2 * i]
+            cubes.append(sc.Cube(tuple(ids)))
             return
         for i, edge in enumerate(edges):
             if at not in (edge.u, edge.v):

@@ -8,8 +8,8 @@ import pytest
 import scopdd as sc
 from scopdd.cli import random_model_text
 
-from conftest import (DATA, PATH_ORDER, cube_node, cube_vars, dnf_truth, fold_dump, make_table,
-                      or_reference, random_cubes, validate)
+from conftest import (DATA, PATH_ORDER, cube_node, dnf_truth, fold_dump, make_table, or_reference,
+                      random_cubes, validate)
 
 
 def small_table():
@@ -68,11 +68,11 @@ class TestApply:
         dd = sc.Obdd(table)
         cube_a = sc.Cube.positive([0, 1])
         cube_b = sc.Cube.positive([2, 3, 4, 5])
-        root = dd._or(cube_node(dd, cube_a), cube_node(dd, cube_b))
+        dd.root = dd._or(cube_node(dd, cube_a), cube_node(dd, cube_b))
         for bits in itertools.product([False, True], repeat=6):
             assignment = dict(enumerate(bits))
             expected = dnf_truth([cube_a, cube_b], assignment)
-            assert dd.eval_bool(assignment, root) == expected
+            assert dd.eval_bool(assignment) == expected
 
     def test_apply_order_canonical(self):
         rng = random.Random(5)
@@ -103,7 +103,8 @@ class TestApply:
                 result = dd._or(x, y)
                 assert result == or_reference(dd, x, y, memo)
                 pool.append(result)
-            validate(dd, pool[-1])
+            dd.root = pool[-1]
+            validate(dd)
 
 
 def nested_cubes(rng: random.Random, table: sc.VariableTable) -> list[sc.Cube]:
@@ -111,7 +112,7 @@ def nested_cubes(rng: random.Random, table: sc.VariableTable) -> list[sc.Cube]:
     other subsets and supersets, now and then the empty cube, shuffled."""
     cubes = random_cubes(rng, table, max_cubes=9)
     for cube in list(cubes):
-        by_level = sorted(cube_vars(cube), key=table.level)
+        by_level = sorted(cube.vars, key=table.level)
         pick = rng.randrange(4)
         if pick == 0:
             cubes.append(cube)
@@ -193,14 +194,9 @@ class TestFromDnf:
         table, *_ = small_table()
         assert sc.from_dnf(table, [sc.Cube.positive([])]).root == 1
 
-    def test_negative_literal_rejected(self):
-        table, a, b, c = small_table()
-        with pytest.raises(sc.StructureError):
-            sc.from_dnf(table, [sc.Cube(((a, False),))])
-
     def test_duplicate_variable_in_cube_rejected(self):
         with pytest.raises(ValueError):
-            sc.Cube(((0, True), (0, True)))
+            sc.Cube.positive([0, 0])
 
     def test_unknown_variable_rejected(self):
         table, *_ = small_table()
@@ -319,10 +315,10 @@ class TestLevels:
         n_d = dd.mk_node(d, 0, 1)
         n_c = dd.mk_node(c, n_d, 1)
         n_a = dd.mk_node(0, 0, n_c)
-        root = dd.mk_node(1, n_a, n_c)
+        root = dd.root = dd.mk_node(1, n_a, n_c)
         assert [(dd.var_of(n), dd.level(n)) for n in (n_d, n_c, n_a, root)] == \
             [(d, 3), (c, 2), (0, 1), (1, 0)]
-        assert dd.rows(root) == [
+        assert dd.rows() == [
             (root, 1, n_a, n_c, 0.5), (n_a, 0, 0, n_c, None),
             (n_c, c, n_d, 1, 0.25), (n_d, d, 0, 1, None),
         ]

@@ -457,7 +457,7 @@ class TestConstraintScratch:
                 assert scratch.dd is terms[0].obdd
             for (root, reward), t in zip(scratch.seeds, terms, strict=True):
                 assert reward == t.reward
-                assert sc.dump_obdd(scratch.dd, root) == sc.dump_obdd(t.obdd)
+                assert sc.dump_obdd(scratch.dd._compact(root)) == sc.dump_obdd(t.obdd)
 
 
 class TestVisitAudit:

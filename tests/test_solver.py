@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -266,7 +267,7 @@ def seeded_satisfaction(n):
 
 def counters(stats):
     """Every ``SearchStats`` field but ``wall_time``, in field order."""
-    return tuple(value for key, value in stats.as_dict().items() if key != "wall_time")
+    return tuple(value for key, value in asdict(stats).items() if key != "wall_time")
 
 
 class TestSearchCounters:
