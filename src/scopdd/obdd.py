@@ -18,8 +18,11 @@ is the one way two diagrams are combined.  ``from_dnf`` and
 ``load_obdd`` build in a working store and return a compact copy holding
 only the nodes reachable from the root, so ``len(dd)`` is the reachable
 node count plus the two terminals; the working store, with its OR memo,
-is dropped.  A cube is its variable indices.  Every public traversal
-starts at ``root``; only a constraint's scratch walks several roots.
+is dropped.  ``from_dnf`` compiles each chain, a run of adjacent levels
+that its cubes only hold together, as the chain's first level, and the
+compact copy expands every such node into the whole chain.  A cube is its
+variable indices.  Every public traversal starts at ``root``; only a
+constraint's scratch walks several roots.
 
 The text exchange format is line oriented (``#`` starts a comment):
 
@@ -34,6 +37,7 @@ The text exchange format is line oriented (``#`` starts a comment):
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -193,6 +197,9 @@ class Obdd:
         self._unique: dict[tuple[int, int, int], int] = {}
         # the OR kernel's memo, keyed by min(a, b) << 32 | max(a, b)
         self._or_memo: dict[int, int] = {}
+        # a working store's chains: each head level to the levels below it in
+        # its chain, deepest first; ``_copy`` expands a head node into them
+        self._chain: dict[int, tuple[int, ...]] = {}
         self._rows_cache: dict[int, list[Row]] = {}  # by root
 
     # -- store access -------------------------------------------------
@@ -366,11 +373,18 @@ class Obdd:
     def _copy(self, source: "Obdd", root: int) -> int:
         """Copy the nodes of ``source`` (same variable table) reachable from
         ``root`` into this store in ascending id order; returns the copy of
-        ``root``.  Hash-consing merges each with an equal node already here."""
+        ``root``.  Hash-consing merges each with an equal node already here.
+        A node ``(head, lo, hi)`` of one of ``source``'s chains becomes the
+        whole chain, made deepest first: each level below the head gets a
+        node whose lo is ``lo`` and whose hi is the node made before it."""
+        chain = source._chain
         new_id = {FALSE_NODE: FALSE_NODE, TRUE_NODE: TRUE_NODE}
         for node in sorted(n for n in source._reachable((root,)) if n >= 2):
-            new_id[node] = self._make(source._lvl[node], new_id[source._lo[node]],
-                                      new_id[source._hi[node]])
+            level = source._lvl[node]
+            lo, hi = new_id[source._lo[node]], new_id[source._hi[node]]
+            for below in chain.get(level, ()):
+                hi = self._make(below, lo, hi)
+            new_id[node] = self._make(level, lo, hi)
         return new_id[root]
 
     def _compact(self, root: int) -> "Obdd":
@@ -403,6 +417,26 @@ def _cube_levels(variables: VariableTable, cube: Cube) -> tuple[int, ...]:
     return tuple(sorted(level[var] for var in cube.vars))
 
 
+def _chains(tuples: list[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
+    """The chains of sorted, distinct level tuples: maximal runs of adjacent
+    levels ``l, l + 1, ...`` such that every tuple holding one of them holds
+    all.  Level ``l + 1`` joins ``l``'s chain when it directly follows ``l``
+    in every tuple that holds either.  Maps each head, the chain's smallest
+    level, to the levels below it, deepest first; runs in time linear in
+    the tuples' total length."""
+    count = Counter(itertools.chain.from_iterable(tuples))
+    follow = Counter(a for levels in tuples for a, b in zip(levels, levels[1:]) if b == a + 1)
+    joins = {a for a, n in follow.items() if n == count[a] == count[a + 1]}
+    chains = {}
+    for head in joins:
+        if head - 1 not in joins:
+            last = head + 1
+            while last in joins:
+                last += 1
+            chains[head] = tuple(range(last, head, -1))
+    return chains
+
+
 def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
     """Compile a monotone DNF into a reduced ordered diagram.
 
@@ -419,11 +453,22 @@ def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
     store with one OR memo and returns the compact copy of the root.  An
     empty cube list yields the constant-false diagram; a cube without
     literals is the empty conjunction and yields constant true.
+
+    A chain (see ``_chains``) is a run of adjacent levels that the cubes
+    only ever hold together, such as each edge's ``t_e`` and ``d_e``: the
+    DNF depends on its variables only through their AND.  So the trie holds
+    each chain as its head level alone, and the fold and every OR work on
+    head levels; the working store records the chains, and its compact
+    copy expands each head node into its chain.
     """
     dd = Obdd(variables)
     tuples = sorted({_cube_levels(variables, cube) for cube in cubes}, reverse=True)
     if not tuples:
         return dd._compact(FALSE_NODE)
+    dd._chain = _chains(tuples)
+    # chain members always come together, so the tuples stay sorted and distinct
+    skip = {level for below in dd._chain.values() for level in below}
+    tuples = [tuple(level for level in levels if level not in skip) for levels in tuples]
     make, or_ = dd._make, dd._or
     later = tuples[0]
     acc = [FALSE_NODE] * len(later)

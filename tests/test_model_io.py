@@ -481,10 +481,12 @@ class TestBuildProblem:
         sizes = working_store_sizes(monkeypatch, 24)
         assert sizes and sum(sizes) <= 53_480
 
-    @pytest.mark.parametrize("n_edges, bound", [(24, 11_326), (28, 27_310)])
+    @pytest.mark.parametrize("n_edges, bound", [(24, 5_504), (28, 13_407)])
     def test_trie_working_store_size(self, monkeypatch, n_edges, bound):
-        """The level-sorted cube trie's working store; a balanced OR tree of
-        the path cubes fills 34,956 and 114,470 nodes here."""
+        """The level-sorted cube trie's working store, which holds each
+        chain as its head level; a balanced OR tree of the path cubes fills
+        34,956 and 114,470 nodes here, the trie without chains 11,326 and
+        27,310."""
         sizes = working_store_sizes(monkeypatch, n_edges)
         assert sizes and sum(sizes) <= bound
 

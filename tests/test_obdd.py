@@ -184,6 +184,113 @@ class TestTrieCompile:
             dd = sc.from_dnf(table, order)
             assert dd.root == 1 and len(dd) == 2
 
+    # -- chains: runs of adjacent levels that the cubes only hold together --
+
+    @staticmethod
+    def _compile_sizes(monkeypatch, table, cubes):
+        """The compiled diagram and the size of the working store it was
+        copied from."""
+        sizes = []
+        compact = sc.Obdd._compact
+
+        def spy(dd, root):
+            sizes.append(len(dd))
+            return compact(dd, root)
+
+        monkeypatch.setattr(sc.Obdd, "_compact", spy)
+        dd = sc.from_dnf(table, cubes)
+        return dd, sizes[-1]
+
+    @staticmethod
+    def _level_cubes(n, cubes):
+        """A table of ``n`` variables whose levels follow their indices, and
+        the cubes given as lists of those indices."""
+        table = sc.VariableTable([(f"v{i}", sc.DECISION, None) for i in range(n)])
+        return table, [sc.Cube.positive(c) for c in cubes]
+
+    def test_chains_of_two_and_three_levels(self, monkeypatch):
+        # chains (0, 1), (2, 3) and (4, 5, 6): the trie sees levels 0, 2 and
+        # 4 alone, in four working nodes that expand into nine
+        table, cubes = self._level_cubes(
+            7, [[0, 1, 4, 5, 6], [2, 3], [0, 1, 2, 3]])
+        self._check(random.Random(1), table, cubes)
+        dd, working = self._compile_sizes(monkeypatch, table, cubes)
+        assert (working, len(dd)) == (2 + 4, 2 + 9)
+
+    def test_pair_held_together_in_all_cubes_but_one(self):
+        # 0 and 1 meet in every cube that holds 0, but {1, 2} holds 1 alone
+        for cubes in ([[0, 1, 2], [0, 1], [1, 2]], [[0, 1, 3], [1], [0, 1, 2, 3]]):
+            self._check(random.Random(2), *self._level_cubes(4, cubes))
+
+    def test_upper_level_alone_in_one_cube(self):
+        # a cube holds 0 without 1, the level just below it
+        for cubes in ([[0], [0, 1], [2, 3]], [[0, 1, 2], [0, 3], [0, 1, 2, 3]]):
+            self._check(random.Random(3), *self._level_cubes(4, cubes))
+
+    def test_levels_that_meet_but_are_not_adjacent(self):
+        # 0 and 2 always meet, with level 1 between them
+        for cubes in ([[0, 2], [1]], [[0, 2, 3], [1, 3], [1]]):
+            self._check(random.Random(4), *self._level_cubes(4, cubes))
+
+    def test_chain_head_ends_a_prefix_tuple(self):
+        # chain (1, 2): with 2 dropped, the cube {0, 1, 2} folds as (0, 1),
+        # a prefix of (0, 1, 3), so the head 1 closes a constant-true group
+        for cubes in ([[0], [0, 1, 2], [0, 1, 2, 3]], [[0, 1, 2], [0, 1, 2, 3], [3]]):
+            self._check(random.Random(5), *self._level_cubes(4, cubes))
+
+    def test_empty_cube_among_chained_cubes(self):
+        table, cubes = self._level_cubes(4, [[0, 1], [], [2, 3]])
+        self._check(random.Random(6), table, cubes)
+        assert len(sc.from_dnf(table, cubes)) == 2
+
+    def test_order_splitting_pairs(self, net_model):
+        # t_e and d_e apart: the order interleaves the pairs' halves
+        names = [info.name for info in net_model.vars]  # t_ab, d_ab, t_ac, ...
+        ts, ds = names[0::2], names[1::2]
+        for order in (ts + ds, ds[::-1] + ts, [ts[0]] + ds + ts[1:]):
+            model = sc.with_order(net_model, order)
+            for query in model.queries:
+                self._check(random.Random(7), model.vars, sc.st_path_dnf(model, query))
+
+    def test_series_path_is_one_chain(self, monkeypatch):
+        model = sc.parse_network(
+            "node s\nnode a\nnode b\nnode t\nedge s a 0.5\nedge a b 0.6\n"
+            "edge b t 0.7\nquery s t\nobjective maximize\n")
+        cubes = sc.st_path_dnf(model, model.queries[0])
+        assert [len(c.vars) for c in cubes] == [6]
+        dd, working = self._compile_sizes(monkeypatch, model.vars, cubes)
+        assert working == 2 + 1
+        assert len(dd) == 2 + 6
+        assert sc.dump_obdd(dd) == fold_dump(model.vars, cubes)
+        rows = dd.rows()  # the six levels in order, each false-lo and hi to the next
+        assert [model.vars.level(var) for _, var, _, _, _ in rows] == list(range(6))
+        assert [(lo, hi) for _, _, lo, hi, _ in rows] == [
+            (0, row[0]) for row in rows[1:]] + [(0, 1)]
+
+    def test_random_chained_cubes_match_left_fold(self):
+        """Cubes built from runs of adjacent levels, held whole or, now and
+        then, with a level missing or added, over tables in random orders."""
+        rng = random.Random(79)
+        for _ in range(150):
+            table = make_table(rng, rng.randint(1, 6), rng.randint(1, 6))
+            if rng.random() < 0.5:
+                table, _ = with_shuffled_levels(rng, table)
+            by_level = sorted(range(len(table)), key=table.level)
+            runs, at = [], 0
+            while at < len(by_level):
+                size = rng.randint(1, 4)
+                runs.append(by_level[at:at + size])
+                at += size
+            cubes = []
+            for _ in range(rng.randint(1, 7)):
+                ids = [v for run in rng.sample(runs, rng.randint(0, len(runs))) for v in run]
+                if ids and rng.random() < 0.15:
+                    ids.remove(rng.choice(ids))
+                elif rng.random() < 0.15:
+                    ids = sorted(set(ids) | {rng.randrange(len(table))})
+                cubes.append(sc.Cube.positive(ids))
+            self._check(rng, table, cubes)
+
 
 class TestFromDnf:
     def test_empty_disjunction_is_false(self):
