@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .evaluate import BOTH, DomainState, FALSE_ONLY, TRUE_ONLY
-from .obdd import DECISION
 from .propagate import (
     ConstraintTerm,
     FAILED,
@@ -92,22 +91,14 @@ def decompose(terms: list[ConstraintTerm], theta: float) -> LinearSystem:
         dd = term.obdd
         exprs: dict[int, Affine] = {0: Affine(0.0), 1: Affine(1.0)}
         term_eqs: list[DecisionEquation] = []
-        for node in reversed(dd.topo_order()):
-            if node < 2:
-                continue
-            var = dd.var_of(node)
-            info = dd.vars.info(var)
+        for node, var, lo, hi, w in reversed(dd.rows()):
             key = (ti, node)
-            if info.kind == DECISION:
-                term_eqs.append(
-                    DecisionEquation(key, var, exprs[dd.lo(node)], exprs[dd.hi(node)])
-                )
+            if w is None:
+                term_eqs.append(DecisionEquation(key, var, exprs[lo], exprs[hi]))
                 exprs[node] = Affine(0.0, ((key, 1.0),))
-                var_names[key] = f"v({info.name}#{node})"
+                var_names[key] = f"v({dd.vars.name(var)}#{node})"
             else:
-                exprs[node] = exprs[dd.hi(node)].scaled(info.prob).plus(
-                    exprs[dd.lo(node)].scaled(1.0 - info.prob)
-                )
+                exprs[node] = exprs[hi].scaled(w).plus(exprs[lo].scaled(1.0 - w))
         term_eqs.reverse()  # topological: root side first
         decision_eqs.extend(term_eqs)
         root_expr = root_expr.plus(exprs[dd.root].scaled(term.reward))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .obdd import DECISION, Obdd, Row, VariableTable
+from .obdd import Obdd, Row, VariableTable
 
 # decision-variable domains
 FALSE_ONLY = 0
@@ -17,6 +17,10 @@ TRUE_ONLY = 1
 BOTH = 2
 
 _DOMAIN_NAMES = {FALSE_ONLY: "false", TRUE_ONLY: "true", BOTH: "free"}
+
+
+def _not_decision(var: int) -> ValueError:
+    return ValueError(f"variable index {var} is not a decision variable")
 
 
 class DomainState:
@@ -28,19 +32,25 @@ class DomainState:
     """
 
     def __init__(self, variables: VariableTable, fixed: Mapping[int, bool] | None = None):
+        """All decision variables free, then the ``fixed`` ones fixed, in
+        one pass; the trail lists them in the mapping's order."""
         self.vars = variables
-        self._dom = [
-            BOTH if info.kind == DECISION else -1 for info in variables
-        ]
-        self._true_count = 0
-        self._trail: list[int] = []
-        if fixed:
-            for var, value in fixed.items():
-                self.fix(var, value)
+        self._dom = dom = [BOTH if prob is None else -1 for prob in variables._probs]
+        trues = 0
+        for var, value in (fixed or {}).items():
+            if not 0 <= var < len(dom) or dom[var] == -1:
+                raise _not_decision(var)
+            if value:
+                dom[var] = TRUE_ONLY
+                trues += 1
+            else:
+                dom[var] = FALSE_ONLY
+        self._true_count = trues
+        self._trail: list[int] = list(fixed or ())
 
     def _check(self, var: int) -> None:
         if not 0 <= var < len(self._dom) or self._dom[var] == -1:
-            raise ValueError(f"variable index {var} is not a decision variable")
+            raise _not_decision(var)
 
     def domain(self, var: int) -> int:
         self._check(var)
@@ -146,13 +156,14 @@ def evaluate(dd: Obdd, domains: DomainState) -> float:
 def model_probability(dd: Obdd, assignment: Mapping[int, bool]) -> float:
     """Probability mass of one full assignment, zero when it falsifies the
     diagram.  Every variable of the table must be assigned; used by oracles."""
-    for info in dd.vars:
-        if info.index not in assignment:
-            raise ValueError(f"variable {info.name!r} is unassigned")
+    probs = dd.vars._probs
+    for var in range(len(probs)):
+        if var not in assignment:
+            raise ValueError(f"variable {dd.vars.name(var)!r} is unassigned")
     if not dd.eval_bool(assignment):
         return 0.0
     prob = 1.0
-    for info in dd.vars:
-        if info.kind != DECISION:
-            prob *= info.prob if assignment[info.index] else 1.0 - info.prob
+    for var, p in enumerate(probs):
+        if p is not None:
+            prob *= p if assignment[var] else 1.0 - p
     return prob

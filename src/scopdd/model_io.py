@@ -14,14 +14,18 @@ Each edge (u, v) contributes a stochastic variable ``t_uv`` carrying the
 edge probability and a decision variable ``d_uv`` that selects the edge.
 They are registered interleaved, t before d, in edge declaration order, so
 edge i's variables have indices 2i and 2i + 1; the model keeps no other map
-from edges to variables.  The diagram levels follow an ``order`` line
-naming each variable once; without one they follow the order rule: a
-breadth-first search from the first query's source, over
-neighbours in edge declaration order, ranks the nodes, and the edges are
-sorted by (rank of the later endpoint, rank of the earlier endpoint,
-declaration index), with unreached endpoints ranked last; each edge's t
-sits just above its d.  This keeps few edges open between the levels
-visited and the levels to come, and with them the diagrams small.
+from edges to variables.  The variable table is built from these
+declarations in one pass, and holds each variable as its name and its
+probability, which a decision variable lacks.  Two edge lines between the
+same endpoints, in either direction, are rejected as duplicates.  The
+diagram levels follow an ``order`` line naming each variable once; without
+one they follow the order rule: a breadth-first search from the first
+query's source, over neighbours in edge declaration order, ranks the
+nodes, and the edges are sorted by (rank of the later endpoint, rank of
+the earlier endpoint, declaration index), with unreached endpoints ranked
+last; each edge's t sits just above its d.  This keeps few edges open
+between the levels visited and the levels to come, and with them the
+diagrams small.
 
 A query s -> t compiles into one cube per simple path between the
 endpoints: the conjunction of d_e and t_e over the path's edges, edges
@@ -44,8 +48,7 @@ from .solver import Constraint, Problem
 PATH_CAP = 10000  # simple paths per query
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     u: str
     v: str
     prob: float
@@ -93,11 +96,11 @@ class ParsedModel:
         if not."""
         self.adjacency = adjacency = {name: [] for name in self.network.nodes}
         declared: list[tuple[str, str, float | None]] = []
-        for i, edge in enumerate(self.network.edges):
-            adjacency[edge.u].append((edge.v, i))
-            adjacency[edge.v].append((edge.u, i))
-            t_name, d_name = edge_var_names(edge.u, edge.v)
-            declared += [(t_name, STOCHASTIC, edge.prob), (d_name, DECISION, None)]
+        for i, (u, v, prob) in enumerate(self.network.edges):
+            adjacency[u].append((v, i))
+            adjacency[v].append((u, i))
+            t_name, d_name = edge_var_names(u, v)
+            declared += [(t_name, STOCHASTIC, prob), (d_name, DECISION, None)]
         order = self.order
         if order is None:
             order = [declared[var][0] for i in _rule_edge_order(self) for var in (2 * i, 2 * i + 1)]
@@ -117,7 +120,7 @@ def parse_network(text: str) -> ParsedModel:
     nodes: list[str] = []  # declaration order
     node_set: set[str] = set()
     edges: list[Edge] = []
-    edge_keys: set[frozenset] = set()
+    edge_keys: set[tuple[str, str]] = set()  # each edge's endpoints, the smaller first
     joined: set[str] = set()  # u + v of every edge, the stem of its variable names
     queries: list[Query] = []
     cardinality: int | None = None
@@ -139,26 +142,24 @@ def parse_network(text: str) -> ParsedModel:
         elif keyword == "edge":
             if len(tokens) != 4:
                 raise ParseError("expected 'edge <u> <v> <p>'", lineno)
-            u, v = tokens[1], tokens[2]
-            for name in (u, v):
-                if name not in node_set:
-                    raise ParseError(f"unknown node {name!r}", lineno)
+            _, u, v, p = tokens
+            if u not in node_set or v not in node_set:
+                raise ParseError(f"unknown node {u if u not in node_set else v!r}", lineno)
             if u == v:
                 raise ParseError(f"self-loop on {u!r}", lineno)
             try:
-                prob = float(tokens[3])
+                prob = float(p)
             except ValueError:
-                raise ParseError(f"bad probability {tokens[3]!r}", lineno) from None
+                raise ParseError(f"bad probability {p!r}", lineno) from None
             if not 0.0 <= prob <= 1.0:
                 raise ParseError(f"probability outside [0, 1]: {prob}", lineno)
-            edge = Edge(u, v, prob)
-            key = edge.key()
+            key = (u, v) if u < v else (v, u)
             if key in edge_keys:
                 raise ParseError(f"duplicate edge {u!r}-{v!r}", lineno)
             if u + v in joined:  # e.g. edges a-bc and ab-c both make t_abc
                 raise ParseError("edge variable names collide; rename the network nodes",
                                  lineno)
-            edges.append(edge)
+            edges.append(Edge(u, v, prob))
             edge_keys.add(key)
             joined.add(u + v)
         elif keyword == "query":
@@ -239,19 +240,17 @@ def _rule_edge_order(model: ParsedModel) -> list[int]:
     adjacency = model.adjacency
     queue = [model.queries[0].source]
     rank = {queue[0]: 0}  # position in the queue
-    order: list[int] = []
+    keyed: list[tuple[int, int, int]] = []  # (later rank, earlier rank, edge index)
     for at_rank, at in enumerate(queue):
-        # the edges whose later endpoint is ``at``, by their earlier endpoint
-        earlier = []
         for neighbor, i in adjacency[at]:
             neighbor_rank = rank.get(neighbor)
             if neighbor_rank is None:
                 rank[neighbor] = len(queue)
                 queue.append(neighbor)
             elif neighbor_rank < at_rank:
-                earlier.append((neighbor_rank, i))
-        earlier.sort()
-        order += [i for _, i in earlier]
+                keyed.append((at_rank, neighbor_rank, i))
+    keyed.sort()
+    order = [i for _, _, i in keyed]
     # an edge with an unreached endpoint has two; these go last, as declared
     order += [i for i, edge in enumerate(model.network.edges) if edge.u not in rank]
     return order

@@ -4,9 +4,10 @@ A diagram lives in an append-only node store of (level, lo, hi) triples
 with hash-consing: structurally equal subgraphs share one node id, so
 isomorphism within a store reduces to id equality.  Ids 0 and 1 are the
 false/true terminals; all other ids are internal nodes.  Variables are kept
-in a separate registry, indexed in declaration order; each also has a level,
-its place in the global variable order, and every node's level is strictly
-smaller than the levels of its internal children.  A node is labelled by its
+in a separate registry, indexed in declaration order, as a name and a
+probability each; a decision variable is one without a probability.  Each
+also has a level, its place in the global variable order, and every node's
+level is strictly smaller than the levels of its internal children.  A node is labelled by its
 level alone, which the OR kernel compares and ``rows`` sorts by; the
 registry maps each level back to its variable, so cubes, rows and
 ``var_of`` still name variables by index.
@@ -55,8 +56,8 @@ Row = tuple[int, int, int, int, float | None]
 
 
 class VarInfo(NamedTuple):
-    """One registered variable; ``index`` is its position in declaration
-    order, which ``VariableTable.level`` need not follow."""
+    """A view of one registered variable; ``index`` is its position in
+    declaration order, which ``VariableTable.level`` need not follow."""
 
     index: int
     name: str
@@ -67,11 +68,14 @@ class VarInfo(NamedTuple):
 class VariableTable:
     """Registry of decision and stochastic variables.
 
-    Indices follow declaration order; each variable also has a level, its
-    place in the diagram order: a smaller level means closer to the root of
-    every diagram built over this table.  Levels follow declaration order
-    unless an ``order`` is given.  The table keeps the map both ways: the
-    level of each index and the index at each level.
+    Indices follow declaration order.  The table holds each variable as a
+    name and a probability: a variable is a decision exactly when its
+    probability is None, so ``info`` builds its ``VarInfo`` on demand.  Each
+    variable also has a level, its place in the diagram order: a smaller
+    level means closer to the root of every diagram built over this table.
+    Levels follow declaration order unless an ``order`` is given.  The table
+    keeps the map both ways: the level of each index and the index at each
+    level.
     """
 
     def __init__(self, declared: Sequence[tuple[str, str, float | None]] = (),
@@ -80,14 +84,27 @@ class VariableTable:
         then, if ``order`` is given, give each variable its position there as
         its level; ``order`` must name every declared variable exactly once,
         and ``noun`` says what the variables are in that error."""
-        self._infos: list[VarInfo] = []
-        self._by_name: dict[str, int] = {}
-        self._level: list[int] = []  # by index
-        self._by_level: list[int] = []  # the index at each level
+        self._names: list[str] = []  # by index
+        self._probs: list[float | None] = []  # by index; None for a decision
         for name, kind, prob in declared:
-            self._add(name, kind, prob)
+            if kind == STOCHASTIC:
+                if prob is None or not 0.0 <= prob <= 1.0:
+                    break
+            elif kind != DECISION or prob is not None:
+                break
+            self._names.append(name)
+            self._probs.append(prob)
+        self._by_name: dict[str, int] = {name: index for index, name in enumerate(self._names)}
+        if len(self._by_name) < len(self._names) or len(self._names) < len(declared):
+            # the one-at-a-time path names the first bad declaration
+            replay = VariableTable()
+            for name, kind, prob in declared:
+                replay._add(name, kind, prob)
+        size = len(self._names)
+        self._level: list[int] = list(range(size))  # by index
+        self._by_level: list[int] = list(range(size))  # the index at each level
         if order is not None:
-            if len(order) != len(self._infos) or self._by_name.keys() != set(order):
+            if len(order) != size or self._by_name.keys() != set(order):
                 raise ValueError(
                     f"order line must mention every {noun} variable exactly once"
                 )
@@ -103,10 +120,13 @@ class VariableTable:
                 raise ValueError(f"stochastic variable {name!r} needs a probability")
             if not 0.0 <= prob <= 1.0:
                 raise ValueError(f"probability of {name!r} outside [0, 1]: {prob}")
+        elif kind != DECISION:
+            raise ValueError(f"unknown kind {kind!r} of variable {name!r}")
         elif prob is not None:
             raise ValueError(f"decision variable {name!r} cannot carry a probability")
-        index = len(self._infos)
-        self._infos.append(VarInfo(index, name, kind, prob))
+        index = len(self._names)
+        self._names.append(name)
+        self._probs.append(prob)
         self._by_name[name] = index
         self._level.append(index)
         self._by_level.append(index)
@@ -119,30 +139,31 @@ class VariableTable:
         return self._add(name, STOCHASTIC, prob)
 
     def __len__(self) -> int:
-        return len(self._infos)
+        return len(self._names)
 
     def __iter__(self):
-        return iter(self._infos)
+        return map(self.info, range(len(self._names)))
 
     def __eq__(self, other):
         if not isinstance(other, VariableTable):
             return NotImplemented
-        return self._by_level == other._by_level and [
-            (i.name, i.kind, i.prob) for i in self._infos
-        ] == [(i.name, i.kind, i.prob) for i in other._infos]
+        return (self._by_level == other._by_level and self._names == other._names
+                and self._probs == other._probs)
 
     def info(self, index: int) -> VarInfo:
-        return self._infos[index]
+        index = range(len(self._names))[index]  # a negative index counts from the end
+        prob = self._probs[index]
+        return VarInfo(index, self._names[index], DECISION if prob is None else STOCHASTIC, prob)
 
     def level(self, index: int) -> int:
         return self._level[index]
 
     def order(self) -> list[str]:
         """Variable names by level, root side first."""
-        return [self._infos[index].name for index in self._by_level]
+        return [self._names[index] for index in self._by_level]
 
     def name(self, index: int) -> str:
-        return self._infos[index].name
+        return self._names[index]
 
     def index(self, name: str) -> int:
         try:
@@ -154,10 +175,10 @@ class VariableTable:
         return name in self._by_name
 
     def is_decision(self, index: int) -> bool:
-        return self._infos[index].kind == DECISION
+        return self._probs[index] is None
 
     def decision_ids(self) -> list[int]:
-        return [i.index for i in self._infos if i.kind == DECISION]
+        return [index for index, prob in enumerate(self._probs) if prob is None]
 
 
 @dataclass(frozen=True)
@@ -362,12 +383,14 @@ class Obdd:
         """``rows`` below several roots of this store, built afresh."""
         for node in roots:
             self._check_node(node)
-        lvl_of, by_level, infos = self._lvl, self.vars._by_level, self.vars._infos
+        lvl_of, by_level, probs = self._lvl, self.vars._by_level, self.vars._probs
+        # by id, then stably by level: (level, id) order with no key tuple per node
+        nodes = sorted(n for n in self._reachable(roots) if n >= 2)
+        nodes.sort(key=lvl_of.__getitem__)
         rows = []
-        for node in sorted((n for n in self._reachable(roots) if n >= 2),
-                           key=lambda n: (lvl_of[n], n)):
+        for node in nodes:
             var = by_level[lvl_of[node]]
-            rows.append((node, var, self._lo[node], self._hi[node], infos[var].prob))
+            rows.append((node, var, self._lo[node], self._hi[node], probs[var]))
         return rows
 
     def _copy(self, source: "Obdd", root: int) -> int:
@@ -497,10 +520,12 @@ def from_dnf(variables: VariableTable, cubes: Iterable[Cube]) -> Obdd:
 
 
 def _content_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tokens = line.split()
+        if tokens:
+            yield lineno, tokens
 
 
 def load_obdd(text: str) -> Obdd:
@@ -616,14 +641,11 @@ def dump_obdd(dd: Obdd) -> str:
     order, followed by an ``order`` line exactly when their levels differ
     from it, so ``load_obdd`` restores both.
     """
-    lines = []
-    for info in dd.vars:
-        if info.kind == DECISION:
-            lines.append(f"var {info.name} decision")
-        else:
-            lines.append(f"var {info.name} stochastic {info.prob!r}")
+    names = dd.vars._names
+    lines = [f"var {name} decision" if prob is None else f"var {name} stochastic {prob!r}"
+             for name, prob in zip(names, dd.vars._probs)]
     order = dd.vars.order()
-    if order != [info.name for info in dd.vars]:
+    if order != names:
         lines.append("order " + " ".join(order))
     canon = _canonical_ids(dd)
     for node in sorted((n for n in canon if n >= 2), key=canon.get):

@@ -164,7 +164,8 @@ def _search(problem: Problem, objective: list[ConstraintTerm] | None,
                 stack.append([var, domains.mark(), [s.mark() for s in scratches], 0,
                               stats.incumbents])
             else:  # the optimistic completion fits the bound: the best in this subtree
-                strategy = {v: v in drops or domains.domain(v) == TRUE_ONLY
+                dom = domains._dom
+                strategy = {v: v in drops or dom[v] == TRUE_ONLY
                             for v in problem.vars.decision_ids()}
                 if goal is None:
                     best = strategy

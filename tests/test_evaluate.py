@@ -163,3 +163,26 @@ class TestDomainState:
         assert fixed_items(domains) == [(choice.x, True)]
         domains.fix(choice.y, False)
         assert dict(fixed_items(domains)) == {choice.x: True, choice.y: False}
+
+    def test_bulk_fill_matches_fix_calls(self):
+        rng = random.Random(53)
+        for _ in range(100):
+            table = make_table(rng, rng.randint(1, 8), rng.randint(0, 5))
+            decisions = table.decision_ids()
+            fixed = {var: rng.random() < 0.5
+                     for var in rng.sample(decisions, rng.randint(0, len(decisions)))}
+            bulk = sc.DomainState(table, fixed=fixed)
+            by_fix = sc.DomainState(table)
+            for var, value in fixed.items():
+                by_fix.fix(var, value)
+            assert bulk._dom == by_fix._dom
+            assert bulk.true_count() == by_fix.true_count() == sum(fixed.values())
+            assert bulk.mark() == by_fix.mark() == len(fixed)
+            bulk.undo_to(0)
+            assert bulk.free_vars() == decisions
+            assert bulk.true_count() == 0
+
+    def test_bulk_fill_rejects_non_decisions(self, choice):
+        for var in (choice.vt.index("r"), -1, len(choice.vt)):
+            with pytest.raises(ValueError, match=f"variable index {var} is not a decision"):
+                sc.DomainState(choice.vt, fixed={choice.x: True, var: False})

@@ -55,6 +55,20 @@ class TestParseNetwork:
         with pytest.raises(sc.ParseError, match="duplicate edge"):
             sc.parse_network(text)
 
+    @pytest.mark.parametrize("lines, line, message", [
+        (["edge a b p"], 3, "bad probability 'p'"),
+        (["edge a b 1.5"], 3, r"probability outside \[0, 1\]: 1.5"),
+        (["edge a b 0.5", "edge b a 0.3"], 4, "duplicate edge 'b'-'a'"),
+        (["# a comment line", "", "edge a b 0.5  # a trailing comment", "edge b a 0.3"], 6,
+         "duplicate edge 'b'-'a'"),
+        (["edge a b nan"], 3, "probability outside"),
+    ])
+    def test_edge_errors_name_their_line(self, lines, line, message):
+        text = "\n".join(["node a", "node b", *lines, "query a b", "objective maximize"]) + "\n"
+        with pytest.raises(sc.ParseError, match=f"^line {line}: {message}") as raised:
+            sc.parse_network(text)
+        assert raised.value.line == line
+
     def test_duplicate_cardinality(self):
         text = (
             "node a\nnode b\nedge a b 0.5\nquery a b\n"

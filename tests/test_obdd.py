@@ -1,7 +1,9 @@
 """Diagram construction, reduction rules, the OR kernel, exchange format."""
 
 import itertools
+import math
 import random
+import re
 
 import pytest
 
@@ -429,6 +431,160 @@ class TestLevels:
             (root, 1, n_a, n_c, 0.5), (n_a, 0, 0, n_c, None),
             (n_c, c, n_d, 1, 0.25), (n_d, d, 0, 1, None),
         ]
+
+
+def random_declarations(rng: random.Random, n: int) -> list[tuple[str, str, float | None]]:
+    """``n`` valid declarations with distinct names, probabilities at and
+    between the ends of [0, 1]."""
+    names = [f"v{i}" for i in rng.sample(range(3 * n), n)]
+    return [(name, sc.DECISION, None) if rng.random() < 0.5
+            else (name, sc.STOCHASTIC, rng.choice([0.0, 1.0, rng.random()]))
+            for name in names]
+
+
+def added(declared) -> sc.VariableTable:
+    """The declarations registered one at a time; a decision that carries a
+    probability has no such call, so it goes in as stochastic."""
+    table = sc.VariableTable()
+    for name, kind, prob in declared:
+        if kind == sc.DECISION and prob is None:
+            table.add_decision(name)
+        else:
+            table.add_stochastic(name, prob)
+    return table
+
+
+def table_facts(table: sc.VariableTable):
+    indices = range(len(table))
+    return ([table.name(i) for i in indices], [table.info(i) for i in indices], list(table),
+            [table.is_decision(i) for i in indices], table.decision_ids())
+
+
+class TestVariableTable:
+    """A table built in one pass agrees with one built a variable at a time,
+    and raises the same errors."""
+
+    def test_bulk_matches_one_at_a_time(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            declared = random_declarations(rng, rng.randint(0, 12))
+            one_by_one = added(declared)
+            table = sc.VariableTable(declared)
+            assert table == one_by_one
+            assert table_facts(table) == table_facts(one_by_one)
+            assert [table.level(i) for i in range(len(table))] == list(range(len(table)))
+            assert table.order() == [name for name, _, _ in declared]
+            for i, (name, kind, prob) in enumerate(declared):
+                assert table.info(i) == sc.VarInfo(i, name, kind, prob)
+                assert table.index(name) == i
+
+    def test_bulk_order_matches_its_positions(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            declared = random_declarations(rng, rng.randint(1, 12))
+            order = [name for name, _, _ in declared]
+            rng.shuffle(order)
+            table = sc.VariableTable(declared, order)
+            one_by_one = added(declared)
+            assert table_facts(table) == table_facts(one_by_one)
+            assert table.order() == order
+            for i in range(len(table)):
+                assert table.level(i) == order.index(table.name(i))
+            assert (table == one_by_one) == (order == one_by_one.order())
+            assert table == sc.VariableTable(declared, order)
+
+    @pytest.mark.parametrize("bad, message", [
+        (("w", sc.DECISION, None), "duplicate variable name 'w'"),
+        (("w", sc.STOCHASTIC, 0.5), "duplicate variable name 'w'"),
+        (("x", sc.STOCHASTIC, None), "stochastic variable 'x' needs a probability"),
+        (("x", sc.STOCHASTIC, 1.5), r"probability of 'x' outside \[0, 1\]: 1.5"),
+        (("x", sc.STOCHASTIC, -0.25), r"probability of 'x' outside \[0, 1\]: -0.25"),
+        (("x", sc.STOCHASTIC, math.nan), r"probability of 'x' outside \[0, 1\]: nan"),
+        (("x", sc.DECISION, 0.5), "decision variable 'x' cannot carry a probability"),
+        (("x", "chance", None), "unknown kind 'chance' of variable 'x'"),
+    ])
+    def test_bad_declaration_errors(self, bad, message):
+        rng = random.Random(37)
+        for _ in range(20):
+            declared = [("w", sc.DECISION, None)] + random_declarations(rng, rng.randint(0, 6))
+            declared.insert(rng.randint(1, len(declared)), bad)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sc.VariableTable(declared)
+            _, kind, prob = bad
+            if kind == sc.STOCHASTIC or kind == sc.DECISION and prob is None:  # one add_* call
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    added(declared)
+
+    def test_first_bad_declaration_is_named(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            declared = random_declarations(rng, rng.randint(2, 10))
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(declared))
+                name, kind, prob = declared[i]
+                declared[i] = rng.choice([
+                    (declared[rng.randrange(len(declared))][0], kind, prob),
+                    (name, sc.STOCHASTIC, rng.choice([None, 2.0])),
+                ])
+            try:
+                one_by_one = added(declared)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    sc.VariableTable(declared)
+            else:  # every change happened to keep the declarations valid
+                assert sc.VariableTable(declared) == one_by_one
+
+    @pytest.mark.parametrize("order", [["a", "b"], ["a", "b", "c", "d"], ["a", "b", "b"],
+                                       ["a", "b", "d"], []])
+    def test_order_must_name_each_variable_once(self, order):
+        declared = [("a", sc.DECISION, None), ("b", sc.STOCHASTIC, 0.5), ("c", sc.DECISION, None)]
+        with pytest.raises(ValueError,
+                           match="^order line must mention every declared variable exactly once$"):
+            sc.VariableTable(declared, order)
+
+
+class TestRowOrder:
+    """``rows`` sort by (level, id); node ids need not follow levels in a
+    hand-built store, nor below the several roots of a scratch."""
+
+    @staticmethod
+    def _random_store(rng: random.Random):
+        table, _ = with_shuffled_levels(rng, make_table(rng, rng.randint(1, 5), rng.randint(1, 5)))
+        dd = sc.Obdd(table)
+        for _ in range(rng.randint(1, 150)):
+            var = rng.randrange(len(table))
+            below = [n for n in range(len(dd)) if dd.level(n) > table.level(var)]
+            dd.mk_node(var, rng.choice(below), rng.choice(below))
+        return dd
+
+    @staticmethod
+    def _expected(dd, roots):
+        seen, stack = set(roots), list(roots)
+        while stack:
+            node = stack.pop()
+            if node >= 2:
+                for child in (dd.lo(node), dd.hi(node)):
+                    if child not in seen:
+                        seen.add(child)
+                        stack.append(child)
+        return sorted((n for n in seen if n >= 2), key=lambda n: (dd.level(n), n))
+
+    def test_reassigned_roots(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            dd = self._random_store(rng)
+            for _ in range(4):
+                dd.root = rng.randrange(len(dd))
+                assert [row[0] for row in dd.rows()] == self._expected(dd, [dd.root])
+
+    def test_scratch_roots(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            dd = self._random_store(rng)
+            roots = rng.sample(range(len(dd)), min(len(dd), rng.randint(2, 4)))
+            scratch = sc.PropagationScratch(dd, sc.DomainState(dd.vars),
+                                            [(root, 1.0) for root in roots])
+            assert [row[0] for row in scratch.rows] == self._expected(dd, roots)
 
 
 class TestCompactStore:
