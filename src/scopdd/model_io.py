@@ -13,19 +13,22 @@ The problem file format is line oriented (``#`` starts a comment):
 Each edge (u, v) contributes a stochastic variable ``t_uv`` carrying the
 edge probability and a decision variable ``d_uv`` that selects the edge.
 They are registered interleaved, t before d, in edge declaration order, so
-edge i's variables have indices 2i and 2i + 1; the model keeps no other map
-from edges to variables.  The variable table is built from these
-declarations in one pass, and holds each variable as its name and its
-probability, which a decision variable lacks.  Two edge lines between the
-same endpoints, in either direction, are rejected as duplicates.  The
-diagram levels follow an ``order`` line naming each variable once; without
-one they follow the order rule: a breadth-first search from the first
-query's source, over neighbours in edge declaration order, ranks the
-nodes, and the edges are sorted by (rank of the later endpoint, rank of
-the earlier endpoint, declaration index), with unreached endpoints ranked
-last; each edge's t sits just above its d.  This keeps few edges open
-between the levels visited and the levels to come, and with them the
-diagrams small.
+edge i's variables have indices 2i and 2i + 1; the model keeps no other
+map from edges to variables.  The variable table takes the list of names,
+the list of probabilities (None for a decision variable) and the order
+rule's level permutation as they are built, one pass each.  Two edge lines
+between the same endpoints, in either direction, are rejected as
+duplicates.  The diagram levels follow an ``order`` line naming each
+variable once; without one they follow the order rule, a maximum-adjacency
+ranking (maximum cardinality search, Tarjan & Yannakakis 1984).  The first
+query's source ranks first; each next node is the unranked one with the
+most ranked neighbours, a tie going to the one with fewer neighbours and
+then to the one declared first.  Nodes the source does not reach stay
+unranked.  The edges are sorted by (rank of the earlier endpoint, rank of
+the later endpoint, declaration index), and edges between unranked nodes
+go last, as declared; each edge's t sits just above its d.  This keeps few
+edges open between the levels visited and the levels to come, and with
+them the diagrams small.
 
 A query s -> t compiles into one cube per simple path between the
 endpoints: the conjunction of d_e and t_e over the path's edges, edges
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import CapacityError, ParseError
@@ -94,25 +98,27 @@ class ParsedModel:
         """Register the edge variables, edge i's at indices 2i and 2i + 1,
         with levels from the order if there is one and from the order rule
         if not."""
+        edges = self.network.edges
         self.adjacency = adjacency = {name: [] for name in self.network.nodes}
-        declared: list[tuple[str, str, float | None]] = []
-        for i, (u, v, prob) in enumerate(self.network.edges):
+        for i, (u, v, _) in enumerate(edges):
             adjacency[u].append((v, i))
             adjacency[v].append((u, i))
-            t_name, d_name = edge_var_names(u, v)
-            declared += [(t_name, STOCHASTIC, prob), (d_name, DECISION, None)]
-        order = self.order
-        if order is None:
-            order = [declared[var][0] for i in _rule_edge_order(self) for var in (2 * i, 2 * i + 1)]
+        names: list[str] = [""] * (2 * len(edges))
+        names[::2] = [f"t_{u}{v}" for u, v, _ in edges]
+        names[1::2] = [f"d_{u}{v}" for u, v, _ in edges]
+        probs: list[float | None] = [None] * len(names)  # None for each d
+        probs[::2] = edge_probs = [prob for _, _, prob in edges]
         try:
-            self.vars = VariableTable(declared, order, noun="edge")
+            if self.order is None and None not in edge_probs:
+                by_level = [0] * len(names)  # each edge's t just above its d
+                by_level[::2] = t_vars = [2 * i for i in _rule_edge_order(self)]
+                by_level[1::2] = [var + 1 for var in t_vars]
+                self.vars = VariableTable._from_levels(names, probs, by_level)
+            else:  # an order line, or a t without a probability, which this rejects
+                kinds = [STOCHASTIC, DECISION] * len(edges)
+                self.vars = VariableTable(list(zip(names, kinds, probs)), self.order, noun="edge")
         except ValueError as exc:
             raise ParseError(str(exc)) from None
-
-
-def edge_var_names(u: str, v: str) -> tuple[str, str]:
-    """(stochastic, decision) variable names for edge (u, v)."""
-    return f"t_{u}{v}", f"d_{u}{v}"
 
 
 def parse_network(text: str) -> ParsedModel:
@@ -238,21 +244,38 @@ def with_order(model: ParsedModel, order: list[str]) -> ParsedModel:
 def _rule_edge_order(model: ParsedModel) -> list[int]:
     """Edge indices sorted by the order rule of the module docstring."""
     adjacency = model.adjacency
-    queue = [model.queries[0].source]
-    rank = {queue[0]: 0}  # position in the queue
-    keyed: list[tuple[int, int, int]] = []  # (later rank, earlier rank, edge index)
-    for at_rank, at in enumerate(queue):
+    names = list(adjacency)  # declaration order
+    edges = model.network.edges
+    # an unranked node's heap key packs (-ranked neighbours, neighbours,
+    # position) into one int; a ranked node's key is ~rank, below 0
+    shift = len(names).bit_length()
+    mask = (1 << shift) - 1
+    step = 1 << 2 * shift  # one more ranked neighbour
+    keys = {name: len(names) * step | len(links) << shift | k
+            for k, (name, links) in enumerate(adjacency.items())}
+    width = len(edges).bit_length()
+    keyed: list[int] = []  # (earlier rank, later rank, edge index), packed
+    ranked = 0
+    heap = [keys[model.queries[0].source]]
+    while heap:
+        key = heappop(heap)
+        at = names[key & mask]
+        if keys[at] != key:  # the node was ranked, or has a smaller key since
+            continue
+        keys[at] = ~ranked
         for neighbor, i in adjacency[at]:
-            neighbor_rank = rank.get(neighbor)
-            if neighbor_rank is None:
-                rank[neighbor] = len(queue)
-                queue.append(neighbor)
-            elif neighbor_rank < at_rank:
-                keyed.append((at_rank, neighbor_rank, i))
+            key = keys[neighbor]
+            if key >= 0:
+                keys[neighbor] = key = key - step
+                heappush(heap, key)
+            else:
+                keyed.append((~key << shift | ranked) << width | i)
+        ranked += 1
     keyed.sort()
-    order = [i for _, _, i in keyed]
-    # an edge with an unreached endpoint has two; these go last, as declared
-    order += [i for i, edge in enumerate(model.network.edges) if edge.u not in rank]
+    low = (1 << width) - 1
+    order = [key & low for key in keyed]
+    if ranked < len(names):  # edges between unranked nodes go last, as declared
+        order += [i for i, (u, _, _) in enumerate(edges) if keys[u] >= 0]
     return order
 
 
@@ -294,7 +317,9 @@ def st_path_dnf(model: ParsedModel, query: Query) -> list[Cube]:
             if len(cubes) >= PATH_CAP:
                 raise CapacityError(f"more than {PATH_CAP} simple paths from "
                                     f"{query.source!r} to {query.target!r}")
-            cubes.append(Cube.positive(var for i in path for var in (2 * i, 2 * i + 1)))
+            # a simple path's edges are distinct, so its variables are too
+            cubes.append(Cube._sorted(tuple(
+                var for i in sorted(path) for var in (2 * i, 2 * i + 1))))
             neighbors = ()  # a path ends at the target
         for neighbor, i in neighbors:
             if neighbor not in visited:

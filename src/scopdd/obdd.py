@@ -112,6 +112,27 @@ class VariableTable:
             for level, index in enumerate(self._by_level):
                 self._level[index] = level
 
+    @classmethod
+    def _from_levels(cls, names: list[str], probs: list[float | None],
+                     by_level: list[int]) -> VariableTable:
+        """The table of the variables ``names`` with ``probs``, a decision
+        where the probability is None, in declaration order, with the index
+        at each level taken from the permutation ``by_level``.  It keeps the
+        three lists and checks the probabilities and the names as the
+        constructor does."""
+        table = cls.__new__(cls)
+        table._names, table._probs = names, probs
+        table._by_name = dict(zip(names, range(len(names))))
+        if len(table._by_name) < len(names) or not all(
+                0.0 <= prob <= 1.0 for prob in probs if prob is not None):
+            # the one-at-a-time path names the first bad variable
+            replay = cls()
+            for name, prob in zip(names, probs):
+                replay._add(name, DECISION if prob is None else STOCHASTIC, prob)
+        table._by_level = by_level
+        table._level = sorted(range(len(by_level)), key=by_level.__getitem__)
+        return table
+
     def _add(self, name: str, kind: str, prob: float | None) -> int:
         if name in self._by_name:
             raise ValueError(f"duplicate variable name {name!r}")
@@ -198,6 +219,14 @@ class Cube:
     @staticmethod
     def positive(var_ids: Iterable[int]) -> "Cube":
         return Cube(tuple(var_ids))
+
+    @classmethod
+    def _sorted(cls, var_ids: tuple[int, ...]) -> Cube:
+        """The cube of ``var_ids``, which the caller knows are ascending and
+        distinct, taken without a check."""
+        cube = object.__new__(cls)
+        object.__setattr__(cube, "vars", var_ids)
+        return cube
 
 
 class Obdd:

@@ -316,8 +316,8 @@ class TestSolveCmd:
         record = json.loads(capsys.readouterr().out)
         assert list(record) == ["status", "strategy", "value", "stats", "compile"]
         assert record["compile"] == [
-            {"source": "a", "target": "c", "paths": 3, "nodes": 14},
-            {"source": "a", "target": "d", "paths": 3, "nodes": 20},
+            {"source": "a", "target": "c", "paths": 3, "nodes": 16},
+            {"source": "a", "target": "d", "paths": 3, "nodes": 16},
         ]
 
     def test_default_delta_is_the_solvers(self, net_file, capsys):
@@ -404,18 +404,18 @@ class TestBenchCmd:
             "s7-n4-i0,derivative,4,4,1,8\n"
             "s7-n4-i0,incremental,4,4,1,1\n"
             "s7-n4-i0,baseline,4,4,0,5\n"
-            "s7-n4-i1,naive,4,10,1,50\n"
-            "s7-n4-i1,derivative,4,10,1,20\n"
-            "s7-n4-i1,incremental,4,10,1,17\n"
-            "s7-n4-i1,baseline,4,10,1,33\n"
+            "s7-n4-i1,naive,4,12,1,60\n"
+            "s7-n4-i1,derivative,4,12,1,24\n"
+            "s7-n4-i1,incremental,4,12,1,22\n"
+            "s7-n4-i1,baseline,4,12,1,39\n"
             "s7-n6-i0,naive,6,44,2,308\n"
-            "s7-n6-i0,derivative,6,44,2,74\n"
-            "s7-n6-i0,incremental,6,44,5,53\n"
+            "s7-n6-i0,derivative,6,44,2,70\n"
+            "s7-n6-i0,incremental,6,44,5,50\n"
             "s7-n6-i0,baseline,6,44,0,90\n"
-            "s7-n6-i1,naive,6,44,2,308\n"
-            "s7-n6-i1,derivative,6,44,2,74\n"
-            "s7-n6-i1,incremental,6,44,4,53\n"
-            "s7-n6-i1,baseline,6,44,0,90\n"
+            "s7-n6-i1,naive,6,46,2,322\n"
+            "s7-n6-i1,derivative,6,46,2,70\n"
+            "s7-n6-i1,incremental,6,46,4,50\n"
+            "s7-n6-i1,baseline,6,46,0,94\n"
         )
 
     def test_rows_and_propagator_agreement(self, capsys):

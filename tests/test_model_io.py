@@ -1,6 +1,7 @@
 """Problem file parsing, path enumeration, and problem assembly."""
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -187,6 +188,52 @@ class TestParseNetwork:
             assert sc.dump_obdd(dd) == dump
 
 
+def direct_model(edges, order=None):
+    """A model built from its parts, not parsed; the first node queries the last."""
+    nodes = list(dict.fromkeys(name for u, v, _ in edges for name in (u, v)))
+    network = sc.ProbNetwork(nodes, [sc.Edge(*edge) for edge in edges])
+    return sc.ParsedModel(network, [sc.Query(nodes[0], nodes[-1])], theta=0.0, order=order)
+
+
+class TestTableChecks:
+    """A model's variable table checks its probabilities and names whether
+    or not the model came from a file."""
+
+    @pytest.mark.parametrize("prob, shown", [(1.5, "1.5"), (-0.25, "-0.25"), (math.nan, "nan")])
+    def test_probability_outside_the_unit_interval(self, prob, shown):
+        edges = [("a", "b", 0.5), ("b", "c", prob), ("a", "c", 0.5)]
+        message = rf"^probability of 't_bc' outside \[0, 1\]: {shown}$"
+        with pytest.raises(sc.ParseError, match=message):
+            direct_model(edges)
+        with pytest.raises(sc.ParseError, match=message):
+            direct_model(edges, order=["t_ab", "d_ab", "t_bc", "d_bc", "t_ac", "d_ac"])
+
+    def test_missing_probability(self):
+        message = "^stochastic variable 't_bc' needs a probability$"
+        with pytest.raises(sc.ParseError, match=message):
+            direct_model([("a", "b", 0.5), ("b", "c", None)])
+
+    def test_colliding_names(self):
+        # edges a-bc and ab-c both make t_abc and d_abc
+        with pytest.raises(sc.ParseError, match="^duplicate variable name 't_abc'$"):
+            direct_model([("a", "bc", 0.5), ("bc", "ab", 0.5), ("ab", "c", 0.5)])
+
+    def test_first_bad_edge_is_named(self):
+        with pytest.raises(sc.ParseError, match="^duplicate variable name 't_abc'$"):
+            direct_model([("a", "bc", 0.5), ("ab", "c", 0.5), ("a", "c", 2.0)])
+        with pytest.raises(sc.ParseError, match=r"^probability of 't_ac' outside \[0, 1\]: 2.0$"):
+            direct_model([("a", "bc", 0.5), ("a", "c", 2.0), ("ab", "c", 0.5)])
+
+    @pytest.mark.parametrize("order", ["t_ab d_ab t_bc", "t_ab d_ab t_bc d_bc d_bc",
+                                       "t_ab d_ab t_bc t_bc"])
+    def test_order_line_missing_or_repeating_a_name(self, order):
+        text = ("node a\nnode b\nnode c\nedge a b 0.5\nedge b c 0.5\n"
+                f"order {order}\nquery a c\nobjective maximize\n")
+        message = "^line 6: order line must mention every edge variable exactly once$"
+        with pytest.raises(sc.ParseError, match=message):
+            sc.parse_network(text)
+
+
 class TestReplace:
     """``dataclasses.replace`` derives the variable table and the adjacency
     again, as parsing the edited file would."""
@@ -224,25 +271,37 @@ class TestReplace:
 
 
 class TestOrderRule:
-    def test_breadth_first_edge_levels(self):
-        # ranks from s: s 0, a 1, b 2, c 3, t 4; z, y and x are unreached
+    def test_maximum_adjacency_edge_levels(self):
+        # ranks from s: s 0; then a, b and c each have one ranked neighbour,
+        # and b and c fewer neighbours than a, and b is declared first: b 1;
+        # a now has two ranked neighbours: a 2; c and t tie on one ranked
+        # neighbour and two neighbours, and c is declared first: c 3; d
+        # before t the same way: d 4, t 5.  x, y and z are unreached.  A
+        # breadth-first search over the edges as declared ranks s a b c t d.
         text = (
-            "node s\nnode a\nnode b\nnode c\nnode t\nnode z\nnode y\nnode x\n"
-            "edge b c 0.5\nedge s a 0.5\nedge a b 0.5\nedge z y 0.5\n"
-            "edge s b 0.5\nedge c t 0.5\nedge a c 0.5\nedge x z 0.5\n"
+            "node s\nnode a\nnode b\nnode c\nnode d\nnode t\nnode x\nnode y\nnode z\n"
+            "edge s a 0.5\nedge s b 0.5\nedge y z 0.5\nedge s c 0.5\nedge a b 0.5\n"
+            "edge c d 0.5\nedge a t 0.5\nedge x y 0.5\nedge d t 0.5\n"
             "query s t\nconstraint >= 0\n"
         )
         model = sc.parse_network(text)
         assert model.order is None
+        # edges by (earlier rank, later rank): s-b (0, 1), s-a (0, 2),
+        # s-c (0, 3), a-b (1, 2), a-t (2, 5), c-d (3, 4), d-t (4, 5); keyed
+        # by the later rank, a-b would come before s-c and c-d before a-t;
+        # then the unreached edges y-z and x-y as declared
         assert model.vars.order() == [
-            "t_sa", "d_sa", "t_sb", "d_sb", "t_ab", "d_ab", "t_ac", "d_ac",
-            "t_bc", "d_bc", "t_ct", "d_ct", "t_zy", "d_zy", "t_xz", "d_xz",
+            "t_sb", "d_sb", "t_sa", "d_sa", "t_sc", "d_sc", "t_ab", "d_ab", "t_at", "d_at",
+            "t_cd", "d_cd", "t_dt", "d_dt", "t_yz", "d_yz", "t_xy", "d_xy",
         ]
         # indices stay in declaration order
-        assert [info.name for info in model.vars][:4] == ["t_bc", "d_bc", "t_sa", "d_sa"]
+        assert [info.name for info in model.vars][:6] == ["t_sa", "d_sa", "t_sb", "d_sb",
+                                                          "t_yz", "d_yz"]
         for i, edge in enumerate(model.network.edges):
             assert model.vars.name(2 * i) == f"t_{edge.u}{edge.v}"
             assert model.vars.name(2 * i + 1) == f"d_{edge.u}{edge.v}"
+            # each edge's t sits just above its d
+            assert model.vars.level(2 * i + 1) == model.vars.level(2 * i) + 1
         assert sc.parse_network(format_model(model)) == model
 
     def test_same_events_as_declaration_order(self):
@@ -412,6 +471,18 @@ class TestPathEnumeration:
             for query in model.queries:
                 assert sc.st_path_dnf(model, query) == recursive_cubes(model, query)
 
+    def test_cubes_match_checked_cubes(self):
+        """``st_path_dnf`` builds each cube without ``Cube``'s check, since a
+        simple path's edges are distinct; each equals ``Cube.positive`` of
+        its path's variables, in the same order."""
+        rng = random.Random(83)
+        for _ in range(60):
+            model = sc.parse_network(random_model_text(rng, rng.randint(1, 12)))
+            for query in model.queries:
+                cubes = sc.st_path_dnf(model, query)
+                assert cubes == [sc.Cube.positive(var for i in path for var in (2 * i, 2 * i + 1))
+                                 for path in recursive_paths(model, query)]
+
     def test_dead_ends_change_no_cube(self):
         """Trees with two chords are mostly dead ends: the walk that skips
         them finds the cubes of the walk over the whole tree, in its order."""
@@ -439,15 +510,19 @@ class TestPathEnumeration:
 
 def recursive_cubes(model, query):
     """The path cubes of a recursive walk over every edge, unpruned."""
+    return [sc.Cube(tuple(var for i in path for var in (2 * i + 1, 2 * i)))
+            for path in recursive_paths(model, query)]
+
+
+def recursive_paths(model, query):
+    """The edge indices of each simple path, in the order a recursive walk
+    over every edge finds them, each path from the source."""
     edges = model.network.edges
-    cubes, visited, path = [], {query.source}, []
+    paths, visited, path = [], {query.source}, []
 
     def walk(at):
         if at == query.target:
-            ids = []
-            for i in path:
-                ids += [2 * i + 1, 2 * i]
-            cubes.append(sc.Cube(tuple(ids)))
+            paths.append(list(path))
             return
         for i, edge in enumerate(edges):
             if at not in (edge.u, edge.v):
@@ -461,7 +536,7 @@ def recursive_cubes(model, query):
                 visited.remove(neighbor)
 
     walk(query.source)
-    return cubes
+    return paths
 
 
 class TestBuildProblem:
@@ -503,6 +578,19 @@ class TestBuildProblem:
         27,310."""
         sizes = working_store_sizes(monkeypatch, n_edges)
         assert sizes and sum(sizes) <= bound
+
+    @pytest.mark.parametrize("n_edges, nodes", [(16, 4_518), (20, 12_126), (24, 28_452)])
+    def test_compiled_nodes_of_a_seeded_corpus(self, n_edges, nodes):
+        """Diagram sizes beyond the benchmark's workloads: the compiled
+        nodes of ten seeded networks, summed.  Breadth-first ranks with
+        edges keyed by their later endpoint compiled 5,520, 13,180 and
+        42,178 nodes here."""
+        total = 0
+        for k in range(10):
+            model = sc.parse_network(random_model_text(random.Random(f"rule:{n_edges}:{k}"),
+                                                       n_edges))
+            total += sum(record.nodes for record in sc.build_problem(model).compiled)
+        assert total == nodes
 
     def test_compile_records(self):
         rng = random.Random(29)

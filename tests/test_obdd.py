@@ -534,6 +534,47 @@ class TestVariableTable:
             else:  # every change happened to keep the declarations valid
                 assert sc.VariableTable(declared) == one_by_one
 
+    def test_from_levels_matches_the_constructor(self):
+        """The private constructor that a parsed model's table comes from
+        agrees with the constructor given the same levels as an order."""
+        rng = random.Random(43)
+        for _ in range(200):
+            declared = random_declarations(rng, rng.randint(0, 12))
+            by_level = list(range(len(declared)))
+            rng.shuffle(by_level)
+            names = [name for name, _, _ in declared]
+            table = sc.VariableTable._from_levels(
+                names, [prob for _, _, prob in declared], by_level)
+            ordered = sc.VariableTable(declared, [names[index] for index in by_level])
+            assert table == ordered
+            assert table_facts(table) == table_facts(ordered)
+            assert [table.level(i) for i in range(len(table))] == [
+                ordered.level(i) for i in range(len(table))]
+
+    def test_from_levels_names_the_first_bad_variable(self):
+        rng = random.Random(47)
+        checked = 0
+        for _ in range(300):
+            declared = random_declarations(rng, rng.randint(2, 10))
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(declared))
+                name, kind, prob = declared[i]
+                declared[i] = rng.choice([
+                    (declared[rng.randrange(len(declared))][0], kind, prob),
+                    (name, sc.STOCHASTIC, rng.choice([-0.5, 2.0, math.nan])),
+                ])
+            names, probs = [d[0] for d in declared], [d[2] for d in declared]
+            by_level = list(range(len(declared)))
+            try:
+                expected = sc.VariableTable(declared)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    sc.VariableTable._from_levels(names, probs, by_level)
+                checked += 1
+            else:  # every change happened to keep the declarations valid
+                assert sc.VariableTable._from_levels(names, probs, by_level) == expected
+        assert checked > 200
+
     @pytest.mark.parametrize("order", [["a", "b"], ["a", "b", "c", "d"], ["a", "b", "b"],
                                        ["a", "b", "d"], []])
     def test_order_must_name_each_variable_once(self, order):

@@ -274,18 +274,18 @@ class TestSearchCounters:
     """The search's deterministic counters on seeded instances, pinned."""
 
     @pytest.mark.parametrize("n, expected", [
-        (12, (13, 13, 46, 4140, 4)),
-        (16, (14, 14, 49, 6266, 2)),
-        (20, (70, 70, 183, 241430, 4)),
+        (12, (13, 13, 46, 4985, 4)),
+        (16, (14, 14, 49, 5926, 2)),
+        (20, (70, 70, 183, 181077, 4)),
     ])
     def test_optimisation(self, n, expected):
         _, _, stats = sc.solve_opt(seeded_optimisation(n))
         assert counters(stats) == expected
 
     @pytest.mark.parametrize("n, status, expected", [
-        (12, "unsat", (12, 12, 29, 3323, 0)),
-        (16, "sat", (6, 1, 14, 2116, 0)),
-        (20, "sat", (6, 0, 14, 13770, 0)),
+        (12, "unsat", (12, 12, 29, 4017, 0)),
+        (16, "sat", (6, 1, 14, 1965, 0)),
+        (20, "sat", (6, 0, 14, 10628, 0)),
     ])
     def test_satisfaction(self, n, status, expected):
         strategy, stats = sc.solve_sat(seeded_satisfaction(n))
@@ -664,8 +664,8 @@ class TestDeepSearch:
 
 def series_model(probs, goal, cardinality):
     """Edges v0-v1-...-vn in series, declared from the target end, so that
-    breadth-first levels from the source reverse the declaration levels;
-    one query from end to end."""
+    the order rule's levels, which follow the path from the source, reverse
+    the declaration levels; one query from end to end."""
     nodes = [f"v{i}" for i in range(len(probs) + 1)]
     lines = [f"node {v}" for v in nodes]
     lines += [f"edge {nodes[i]} {nodes[i + 1]} {probs[i]}" for i in reversed(range(len(probs)))]
@@ -674,8 +674,8 @@ def series_model(probs, goal, cardinality):
 
 
 def both_orders(model):
-    """The model under its breadth-first levels and under declaration
-    levels, which must differ."""
+    """The model under its order-rule levels and under declaration levels,
+    which must differ."""
     plain = sc.with_order(model, [info.name for info in model.vars])
     assert model.vars.order() != plain.vars.order()
     return model, plain

@@ -26,19 +26,19 @@ def load_workloads():
 
 # totals of COUNTERS per workload
 PINNED = {
-    "opt-search": [1_327, 1_327, 4_368, 353_038, 218],
-    "sat-prune": [770, 330, 1_881, 262_489, 0],
-    "compile-dense": [0, 0, 120, 304_835, 0],
-    "sparse-large": [0, 0, 240, 42_315, 0],
+    "opt-search": [1_327, 1_327, 4_368, 334_255, 218],
+    "sat-prune": [770, 330, 1_881, 231_515, 0],
+    "compile-dense": [0, 0, 120, 273_570, 0],
+    "sparse-large": [0, 0, 240, 38_375, 0],
 }
 
 # SHA-256 over each instance's variable order and probabilities, then the
 # ``dump_obdd`` text of each of its queries' diagrams
 DIAGRAMS = {
-    "opt-search": "adbad9b32ea709c7de77f37877e3f1734407e646b594ca6f1505552279d700b4",
-    "sat-prune": "c3ded7881797ee9e460946c9dad9e37519a2b565264099a58cd47f76b985b59b",
-    "compile-dense": "1c13095d00e475558cae844d7548d5c8fd6b34dba9eeab466c4b9516377cef65",
-    "sparse-large": "c3699003b779b9b66c2e4e91318a684eb3df4014a0b87840e66ff464ab87c527",
+    "opt-search": "d7e11d0f0a20d76ef8725869605695cf39381b279326d650d465f3ac97ed66bd",
+    "sat-prune": "e0be535ddd83ba1d02bed76beb5380d52ae34e266dbfa3e12d80dcc5936a319b",
+    "compile-dense": "3b9c4cdb6215fa151cb93e824c4ae0f601b0470e5a9e47ba671a385fef6ea7a0",
+    "sparse-large": "3baf3f6206742fb26da357f81205036e31ac647869260b3fd0f236b4d2894734",
 }
 
 
