@@ -18,23 +18,38 @@ map from edges to variables.  The variable table takes the list of names,
 the list of probabilities (None for a decision variable) and the order
 rule's level permutation as they are built, one pass each.  Two edge lines
 between the same endpoints, in either direction, are rejected as
-duplicates.  The diagram levels follow an ``order`` line naming each
-variable once; without one they follow the order rule, a maximum-adjacency
-ranking (maximum cardinality search, Tarjan & Yannakakis 1984).  The first
-query's source ranks first; each next node is the unranked one with the
-most ranked neighbours, a tie going to the one with fewer neighbours and
-then to the one declared first.  Nodes the source does not reach stay
-unranked.  The edges are sorted by (rank of the earlier endpoint, rank of
-the later endpoint, declaration index), and edges between unranked nodes
-go last, as declared; each edge's t sits just above its d.  This keeps few
-edges open between the levels visited and the levels to come, and with
-them the diagrams small.
+duplicates.
+
+The model peels its network once: it strips nodes with at most one
+neighbour left, repeatedly, but never an endpoint of a query.  The nodes
+left are the kept part; each stripped node records the neighbour it hung
+from.  A stripped node lies on no simple path between two kept nodes, so
+the queries' paths use only edges between kept nodes.
+
+The diagram levels follow an ``order`` line naming each variable once;
+without one they follow the order rule, a maximum-adjacency ranking
+(maximum cardinality search, Tarjan & Yannakakis 1984) of the kept part.
+The first query's source ranks first; each next node is the unranked kept
+node with the most ranked neighbours, a tie going to the one with fewer
+neighbours in the whole network and then to the one declared first.  Kept
+nodes the source does not reach stay unranked.  The edges between ranked
+nodes are sorted by (rank of the earlier endpoint, rank of the later
+endpoint, declaration index); every other edge, one between unranked
+nodes or with a stripped endpoint, goes last, as declared; each edge's t
+sits just above its d.  This keeps few edges open between the levels
+visited and the levels to come, and with them the diagrams small.
+Ranking the whole network would rank a stripped node only after the node
+it hangs from, and a stripped node adds to no kept node's count, so the
+kept edges keep the relative order that ranking the whole network would
+give them, and every diagram is the one it would give.
 
 A query s -> t compiles into one cube per simple path between the
 endpoints: the conjunction of d_e and t_e over the path's edges, edges
-usable in either direction.  A query may have at most ``PATH_CAP`` (10,000)
-simple paths; one with more raises CapacityError, which the command line
-reports with exit code 1.
+usable in either direction.  The walk keeps to the kept part and the
+hang-from chains of the query's own endpoints, which may be stripped when
+the query is not one of the model's.  A query may have at most
+``PATH_CAP`` (10,000) simple paths; one with more raises CapacityError,
+which the command line reports with exit code 1.
 """
 
 from __future__ import annotations
@@ -45,7 +60,7 @@ from heapq import heappop, heappush
 from typing import NamedTuple
 
 from .errors import CapacityError, ParseError
-from .obdd import DECISION, STOCHASTIC, Cube, VariableTable, _content_lines, from_dnf
+from .obdd import DECISION, STOCHASTIC, Cube, VariableTable, from_dnf
 from .propagate import ConstraintTerm
 from .solver import Constraint, Problem
 
@@ -80,9 +95,9 @@ class Query:
 
 @dataclass
 class ParsedModel:
-    """Everything a problem file declares.  The variable table and the
-    adjacency are derived from it on construction, so ``replace`` derives
-    them again."""
+    """Everything a problem file declares.  The adjacency, the kept part
+    and the variable table are derived from it on construction, so
+    ``replace`` derives them again."""
 
     network: ProbNetwork
     queries: list[Query]
@@ -93,16 +108,21 @@ class ParsedModel:
     vars: VariableTable = field(init=False)
     # node -> (neighbour, edge index) pairs in edge declaration order
     adjacency: dict[str, list[tuple[str, int]]] = field(init=False, compare=False, repr=False)
+    # kept node -> how many neighbours it has in the kept part, in declaration order
+    kept: dict[str, int] = field(init=False, compare=False, repr=False)
+    # stripped node -> its link to the neighbour it hung from, or None
+    hang: dict[str, tuple[str, int] | None] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         """Register the edge variables, edge i's at indices 2i and 2i + 1,
         with levels from the order if there is one and from the order rule
-        if not."""
+        if not, after peeling the network down to its kept part."""
         edges = self.network.edges
         self.adjacency = adjacency = {name: [] for name in self.network.nodes}
         for i, (u, v, _) in enumerate(edges):
             adjacency[u].append((v, i))
             adjacency[v].append((u, i))
+        self.kept, self.hang = _peel(adjacency, self.queries)
         names: list[str] = [""] * (2 * len(edges))
         names[::2] = [f"t_{u}{v}" for u, v, _ in edges]
         names[1::2] = [f"d_{u}{v}" for u, v, _ in edges]
@@ -121,6 +141,40 @@ class ParsedModel:
             raise ParseError(str(exc)) from None
 
 
+def _peel(adjacency: dict[str, list[tuple[str, int]]],
+          queries: list[Query]) -> tuple[dict[str, int], dict[str, tuple[str, int] | None]]:
+    """The kept part, each kept node with its count of neighbours in it, in
+    declaration order, and the hang-from map: each stripped node's link
+    (neighbour, edge index) to the neighbour it hung from, or None for the
+    last node of a stripped tree.  Strips nodes with at most one neighbour
+    left, repeatedly, but never a query's endpoint."""
+    if not queries:
+        raise ParseError("no query declared")
+    ends = set()
+    for query in queries:
+        for name in (query.source, query.target):
+            if name not in adjacency:
+                raise ParseError(f"unknown node {name!r}")
+            ends.add(name)
+    kept = {name: len(links) for name, links in adjacency.items()}
+    leaves = [name for name, degree in kept.items() if degree <= 1 and name not in ends]
+    hang: dict[str, tuple[str, int] | None] = {}
+    while leaves:
+        leaf = leaves.pop()
+        del kept[leaf]
+        for link in adjacency[leaf]:
+            neighbor = link[0]
+            if neighbor in kept:  # the one neighbour left
+                hang[leaf] = link
+                kept[neighbor] = degree = kept[neighbor] - 1
+                if degree == 1 and neighbor not in ends:
+                    leaves.append(neighbor)
+                break
+        else:
+            hang[leaf] = None
+    return kept, hang
+
+
 def parse_network(text: str) -> ParsedModel:
     """Parse a problem file; raises ParseError with a line number on bad input."""
     nodes: list[str] = []  # declaration order
@@ -135,8 +189,14 @@ def parse_network(text: str) -> ParsedModel:
     order: list[str] | None = None
     order_line = None
     goal_seen = False
+    new_tuple = tuple.__new__  # makes an Edge without NamedTuple's Python-level __new__
 
-    for lineno, tokens in _content_lines(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
+            continue
         keyword = tokens[0]
         if keyword == "node":
             if len(tokens) != 2:
@@ -162,12 +222,13 @@ def parse_network(text: str) -> ParsedModel:
             key = (u, v) if u < v else (v, u)
             if key in edge_keys:
                 raise ParseError(f"duplicate edge {u!r}-{v!r}", lineno)
-            if u + v in joined:  # e.g. edges a-bc and ab-c both make t_abc
+            stem = u + v
+            if stem in joined:  # e.g. edges a-bc and ab-c both make t_abc
                 raise ParseError("edge variable names collide; rename the network nodes",
                                  lineno)
-            edges.append(Edge(u, v, prob))
+            edges.append(new_tuple(Edge, (u, v, prob)))
             edge_keys.add(key)
-            joined.add(u + v)
+            joined.add(stem)
         elif keyword == "query":
             if len(tokens) not in (3, 5) or (len(tokens) == 5 and tokens[3] != "reward"):
                 raise ParseError("expected 'query <s> <t> [reward <r>]'", lineno)
@@ -243,17 +304,16 @@ def with_order(model: ParsedModel, order: list[str]) -> ParsedModel:
 
 def _rule_edge_order(model: ParsedModel) -> list[int]:
     """Edge indices sorted by the order rule of the module docstring."""
-    adjacency = model.adjacency
-    names = list(adjacency)  # declaration order
-    edges = model.network.edges
+    adjacency, kept = model.adjacency, model.kept
+    names = list(kept)  # declaration order
     # an unranked node's heap key packs (-ranked neighbours, neighbours,
     # position) into one int; a ranked node's key is ~rank, below 0
-    shift = len(names).bit_length()
+    shift = len(adjacency).bit_length()
     mask = (1 << shift) - 1
     step = 1 << 2 * shift  # one more ranked neighbour
-    keys = {name: len(names) * step | len(links) << shift | k
-            for k, (name, links) in enumerate(adjacency.items())}
-    width = len(edges).bit_length()
+    keys = {name: len(names) * step | len(adjacency[name]) << shift | k
+            for k, name in enumerate(names)}
+    width = len(model.network.edges).bit_length()
     keyed: list[int] = []  # (earlier rank, later rank, edge index), packed
     ranked = 0
     heap = [keys[model.queries[0].source]]
@@ -264,7 +324,9 @@ def _rule_edge_order(model: ParsedModel) -> list[int]:
             continue
         keys[at] = ~ranked
         for neighbor, i in adjacency[at]:
-            key = keys[neighbor]
+            key = keys.get(neighbor)
+            if key is None:  # a stripped node: its edge goes last
+                continue
             if key >= 0:
                 keys[neighbor] = key = key - step
                 heappush(heap, key)
@@ -274,8 +336,14 @@ def _rule_edge_order(model: ParsedModel) -> list[int]:
     keyed.sort()
     low = (1 << width) - 1
     order = [key & low for key in keyed]
-    if ranked < len(names):  # edges between unranked nodes go last, as declared
-        order += [i for i, (u, _, _) in enumerate(edges) if keys[u] >= 0]
+    if len(order) < len(model.network.edges):  # every other edge goes last, as declared
+        # an edge with a stripped endpoint is the hang-from link of the endpoint
+        # stripped first
+        others = [link[1] for link in model.hang.values() if link]
+        if ranked < len(names):  # edges between kept nodes the source does not reach
+            others += {i for name, key in keys.items() if key >= 0
+                       for neighbor, i in adjacency[name] if neighbor in keys}
+        order += sorted(others)
     return order
 
 
@@ -284,52 +352,70 @@ def st_path_dnf(model: ParsedModel, query: Query) -> list[Cube]:
     path.  Disconnected endpoints yield an empty list (a constant-false
     event); more than ``PATH_CAP`` paths raises CapacityError.
 
-    A node other than the endpoints with at most one neighbour left lies on
-    no simple path between them, so such dead ends are dropped, repeatedly,
-    before the walk; the paths and their order are those of the walk over
-    the whole network."""
-    adjacency = model.adjacency
-    ends = {query.source, query.target}
-    for name in ends:
+    The walk keeps to the kept part and the hang-from chains of the
+    endpoints.  In there, a node other than the endpoints with at most one
+    neighbour left lies on no simple path between them, so such dead ends
+    are dropped, repeatedly, before the walk; the paths and their order are
+    those of the walk over the whole network."""
+    adjacency, hang = model.adjacency, model.hang
+    source, target = query.source, query.target
+    for name in (source, target):
         if name not in adjacency:
             raise ValueError(f"unknown node {name!r}")
-    # the dead ends start out visited, so the walk never enters them
-    visited = {name for name, links in adjacency.items()
-               if len(links) <= 1 and name not in ends}
-    dead_ends = list(visited)
-    degree: dict[str, int] = {}  # neighbours left, once a node has lost one
+    # the nodes the walk may use, each with its count of neighbours among
+    # them: the kept part, and the hang-from chain of a stripped endpoint
+    degree = model.kept
+    if source in hang or target in hang:
+        degree = dict(degree)
+        chains = []
+        for name in (source, target):
+            while name in hang and name not in degree:
+                degree[name] = 0
+                chains.append(name)
+                link = hang[name]
+                name = link[0] if link else None
+        for name in chains:
+            degree[name] = sum(neighbor in degree for neighbor, _ in adjacency[name])
+            link = hang[name]
+            if link and link[0] in model.kept:
+                degree[link[0]] += 1
+    ends = {source, target}
+    # the nodes the walk may still enter: not a dead end, and not on the path
+    free = {name for name, links in degree.items() if links > 1 or name in ends}
+    dead_ends = [name for name in degree if name not in free] if len(free) < len(degree) else []
+    left: dict[str, int] = {}  # neighbours left, once a node has lost one
     while dead_ends:
         for neighbor, _ in adjacency[dead_ends.pop()]:
-            if neighbor not in visited and neighbor not in ends:
-                degree[neighbor] = degree.get(neighbor, len(adjacency[neighbor])) - 1
-                if degree[neighbor] == 1:
-                    visited.add(neighbor)
+            if neighbor in free and neighbor not in ends:
+                left[neighbor] = left.get(neighbor, degree[neighbor]) - 1
+                if left[neighbor] == 1:
+                    free.discard(neighbor)
                     dead_ends.append(neighbor)
-    visited.add(query.source)
+    free.discard(source)
     cubes: list[Cube] = []
     path: list[int] = []  # edge indices
     # depth-first over simple paths; each frame holds a path node and the
     # iterator over its remaining neighbours, in edge declaration order
-    stack = [(query.source, iter(adjacency[query.source]))]
+    stack = [(source, iter(adjacency[source]))]
     while stack:
         at, neighbors = stack[-1]
-        if at == query.target:
+        if at == target:
             if len(cubes) >= PATH_CAP:
                 raise CapacityError(f"more than {PATH_CAP} simple paths from "
-                                    f"{query.source!r} to {query.target!r}")
+                                    f"{source!r} to {target!r}")
             # a simple path's edges are distinct, so its variables are too
             cubes.append(Cube._sorted(tuple(
                 var for i in sorted(path) for var in (2 * i, 2 * i + 1))))
             neighbors = ()  # a path ends at the target
         for neighbor, i in neighbors:
-            if neighbor not in visited:
-                visited.add(neighbor)
+            if neighbor in free:
+                free.remove(neighbor)
                 path.append(i)
                 stack.append((neighbor, iter(adjacency[neighbor])))
                 break
         else:
             stack.pop()
-            visited.discard(at)
+            free.add(at)
             if path:
                 path.pop()
     return cubes

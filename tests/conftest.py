@@ -12,15 +12,20 @@ tables; thresholds are drawn between achievable constraint values so the
 1e-9 comparison slack in the propagators can never flip a verdict.
 
 The oracles at the end (``validate``, ``cube_node``, ``or_reference``,
-``format_model`` and the small accessors) are built only on the package's
-public surface -- ``mk_node``, ``lo``, ``hi``, ``level``, ``var_of`` and the
-parsed model's fields -- so they share no code with the compiler they check.
+``format_model``, ``reference_rule_edge_order``, ``static_search`` and the
+small accessors) are built only on the package's public surface --
+``mk_node``, ``lo``, ``hi``, ``level``, ``var_of``, the propagators and the
+parsed model's fields -- so they share no code with the code they check.
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import math
 import random
+import sys
+from heapq import heappop, heappush
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,6 +34,7 @@ import pytest
 import scopdd as sc
 
 DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # order that keeps each edge's stochastic/decision pair adjacent, with the
 # edges of the a->c event's short routes near the root
@@ -258,3 +264,121 @@ def format_model(model: sc.ParsedModel) -> str:
     if model.order is not None:
         lines.append("order " + " ".join(model.order))
     return "\n".join(lines) + "\n"
+
+
+def unordered_dump(dd: sc.Obdd) -> str:
+    """``dump_obdd`` without its ``order`` line: the diagram, up to the
+    levels of the variables it does not read."""
+    return "".join(line for line in sc.dump_obdd(dd).splitlines(keepends=True)
+                   if not line.startswith("order "))
+
+
+def load_workloads() -> dict:
+    """The benchmark's workload generators, imported read-only from
+    ``perfbench/workloads.py``."""
+    sys.path.insert(0, str(BENCH))  # workloads.py imports its sibling oracle.py
+    try:
+        return importlib.import_module("workloads").WORKLOADS
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def reference_rule_edge_order(model: sc.ParsedModel) -> list[int]:
+    """The order rule over the whole network: a maximum-adjacency ranking
+    from the first query's source, each next node the unranked one with the
+    most ranked neighbours, then the fewest neighbours, then declared first;
+    edges sorted by (earlier rank, later rank, declaration index), and the
+    edges between unranked nodes last, as declared."""
+    adjacency = model.adjacency
+    names = list(adjacency)
+    edges = model.network.edges
+    shift = len(names).bit_length()
+    mask = (1 << shift) - 1
+    step = 1 << 2 * shift
+    keys = {name: len(names) * step | len(links) << shift | k
+            for k, (name, links) in enumerate(adjacency.items())}
+    width = len(edges).bit_length()
+    keyed: list[int] = []
+    ranked = 0
+    heap = [keys[model.queries[0].source]]
+    while heap:
+        key = heappop(heap)
+        at = names[key & mask]
+        if keys[at] != key:
+            continue
+        keys[at] = ~ranked
+        for neighbor, i in adjacency[at]:
+            key = keys[neighbor]
+            if key >= 0:
+                keys[neighbor] = key = key - step
+                heappush(heap, key)
+            else:
+                keyed.append((~key << shift | ranked) << width | i)
+        ranked += 1
+    keyed.sort()
+    low = (1 << width) - 1
+    order = [key & low for key in keyed]
+    if ranked < len(names):
+        order += [i for i, (u, _, _) in enumerate(edges) if keys[u] >= 0]
+    return order
+
+
+def static_search(problem: sc.Problem, propagate, delta: float = 1e-9):
+    """Reference depth-first search with a static branching order.
+
+    It branches, true first, on the lowest-index free decision variable
+    that a diagram node reads, and runs the cardinality propagator and
+    ``propagate(terms, domains, theta)`` on every constraint to a joint
+    fixpoint at each node.  A node closes by the search's own rule: with
+    no bound, or with its true count plus free labelled variables within
+    it, the optimistic completion (free labelled variables true, every other
+    free variable false) is the best strategy below it.  An objective is a
+    constraint whose threshold rises past each incumbent to its value +
+    max(delta, THRESHOLD_EPS) + THRESHOLD_EPS.  Returns the strategy (None
+    when none exists), its objective value (None without an objective) and
+    the nodes expanded."""
+    goals = [[c.terms, c.theta] for c in problem.constraints]
+    if problem.objective is not None:
+        goals.append([problem.objective, -math.inf])
+    decisions = problem.vars.decision_ids()
+    labelled = sorted({term.obdd.var_of(node) for terms, _ in goals for term in terms
+                       for node in term.obdd.internal_nodes()} & set(decisions))
+    bound = problem.cardinality
+    found = {"strategy": None, "value": None, "nodes": 0}
+
+    def fixpoint(domains: sc.DomainState) -> bool:
+        while True:
+            free = len(domains.free_vars())
+            if bound is not None and not sc.cardinality_propagate(domains, bound).ok:
+                return False
+            for terms, theta in goals:
+                if not propagate(terms, domains, theta).ok:
+                    return False
+            if len(domains.free_vars()) == free:
+                return True
+
+    def visit(domains: sc.DomainState) -> bool:
+        """True once a satisfaction problem is solved."""
+        if not fixpoint(domains):
+            return False
+        free = [var for var in labelled if domains.is_free(var)]
+        if bound is None or domains.true_count() + len(free) <= bound:
+            strategy = {var: var in free or domains.domain(var) == sc.TRUE_ONLY
+                        for var in decisions}
+            found["strategy"] = strategy
+            if problem.objective is None:
+                return True
+            found["value"] = value = sc.strategy_value(problem.objective, problem.vars,
+                                                       strategy)
+            goals[-1][1] = value + max(delta, sc.THRESHOLD_EPS) + sc.THRESHOLD_EPS
+            return False
+        for value in (True, False):
+            child = domains.copy()
+            child.fix(free[0], value)
+            found["nodes"] += 1
+            if visit(child):
+                return True
+        return False
+
+    visit(sc.DomainState(problem.vars))
+    return found["strategy"], found["value"], found["nodes"]

@@ -10,7 +10,8 @@ import pytest
 import scopdd as sc
 from scopdd.cli import random_model_text
 
-from conftest import complete_graph_text, dnf_truth, format_model
+from conftest import (complete_graph_text, dnf_truth, format_model, reference_rule_edge_order,
+                      unordered_dump)
 
 
 def cube_names(model, cube):
@@ -233,6 +234,17 @@ class TestTableChecks:
         with pytest.raises(sc.ParseError, match=message):
             sc.parse_network(text)
 
+    def test_model_without_a_query(self):
+        network = sc.ProbNetwork(["a", "b"], [sc.Edge("a", "b", 0.5)])
+        with pytest.raises(sc.ParseError, match="^no query declared$"):
+            sc.ParsedModel(network, [], maximize=True)
+
+    def test_query_naming_an_unknown_node(self):
+        network = sc.ProbNetwork(["a", "b"], [sc.Edge("a", "b", 0.5)])
+        for queries in ([sc.Query("zz", "a")], [sc.Query("a", "b"), sc.Query("b", "zz")]):
+            with pytest.raises(sc.ParseError, match="^unknown node 'zz'$"):
+                sc.ParsedModel(network, queries, maximize=True)
+
 
 class TestReplace:
     """``dataclasses.replace`` derives the variable table and the adjacency
@@ -303,6 +315,33 @@ class TestOrderRule:
             # each edge's t sits just above its d
             assert model.vars.level(2 * i + 1) == model.vars.level(2 * i) + 1
         assert sc.parse_network(format_model(model)) == model
+
+    def test_kept_part_keeps_the_whole_network_order(self):
+        """Ranking the kept part alone gives the kept edges the relative
+        order of the rule over the whole network, puts every other edge
+        last, as declared, and leaves every query's diagram unchanged."""
+        rng = random.Random(89)
+        stripped = unreached = 0
+        for _ in range(60):
+            model = sc.parse_network(pendant_network_text(rng))
+            edges = model.network.edges
+            ref = reference_rule_edge_order(model)
+            got = [model.vars.index(name) // 2 for name in model.vars.order()[::2]]
+            kept = {i for i, (u, v, _) in enumerate(edges) if u in model.kept and v in model.kept}
+            assert [i for i in got if i in kept] == [i for i in ref if i in kept]
+            reached = component(model, model.queries[0].source)
+            head = [i for i in ref if i in kept and edges[i].u in reached]
+            assert got[:len(head)] == head
+            assert got[len(head):] == sorted(got[len(head):])
+            ref_model = sc.with_order(model, [f"{kind}_{edges[i].u}{edges[i].v}"
+                                              for i in ref for kind in "td"])
+            for query in model.queries:
+                dd = sc.from_dnf(model.vars, sc.st_path_dnf(model, query))
+                ref_dd = sc.from_dnf(ref_model.vars, sc.st_path_dnf(ref_model, query))
+                assert unordered_dump(dd) == unordered_dump(ref_dd)
+            stripped += bool(model.hang)
+            unreached += len(reached) < len(model.network.nodes)
+        assert stripped > 50 and unreached > 20
 
     def test_same_events_as_declaration_order(self):
         rng = random.Random(71)
@@ -506,6 +545,89 @@ class TestPathEnumeration:
             assert sum(d == 1 for d in degree.values()) > 2
             for query in model.queries:
                 assert sc.st_path_dnf(model, query) == recursive_cubes(model, query)
+
+    def test_queries_off_the_model(self):
+        """A query that is not among the model's, with endpoints deep in a
+        stripped tree, in a tree component that holds no query of the
+        model, or in two components, walks the kept part and its endpoints'
+        hang-from chains: the cubes of the walk over the whole network, in
+        its order."""
+        rng = random.Random(97)
+        deep = tree_only = apart = 0
+        for _ in range(40):
+            model = sc.parse_network(pendant_network_text(rng))
+            nodes = model.network.nodes
+            stripped = list(model.hang)
+            for _ in range(12):
+                source = rng.choice(stripped if stripped and rng.random() < 0.8 else nodes)
+                reach = component(model, source)
+                near = sorted(reach - {source}) if rng.random() < 0.5 else []
+                target = rng.choice(near or [name for name in nodes if name != source])
+                query = sc.Query(source, target)
+                assert sc.st_path_dnf(model, query) == recursive_cubes(model, query)
+                deep += hang_depth(model, source) >= 3
+                tree_only += target in reach and all(name in model.hang for name in reach)
+                apart += target not in reach
+        assert deep > 50 and tree_only > 10 and apart > 50
+
+    def test_path_cap_from_a_stripped_tree(self):
+        # K9 with a pendant path on v0 and one on v1: the 13,700 simple
+        # paths between v0 and v1 extend to the paths' far ends
+        text = complete_graph_text(9).replace("query v0 v1\n", "")
+        text += "".join(f"node {side}{k}\n" for side in "pq" for k in range(3))
+        text += "edge v0 p0 0.5\nedge p0 p1 0.5\nedge p1 p2 0.5\n"
+        text += "edge v1 q0 0.5\nedge q0 q1 0.5\nedge q1 q2 0.5\nquery v2 v3\n"
+        model = sc.parse_network(text)
+        assert set(model.hang) == {"p0", "p1", "p2", "q0", "q1", "q2"}
+        with pytest.raises(sc.CapacityError,
+                           match="^more than 10000 simple paths from 'p2' to 'q2'$"):
+            sc.st_path_dnf(model, sc.Query("p2", "q2"))
+
+
+def pendant_network_text(rng):
+    """A network of one to three components, each a random tree with up to
+    three chords but the last of several, so most of its nodes sit in
+    pendant trees; two to four queries between random nodes, which may lie
+    in different components.  Node and edge lines come in random order."""
+    nodes = [f"n{i}" for i in range(rng.randint(10, 36))]
+    cuts = sorted(rng.sample(range(3, len(nodes) - 2), rng.randint(0, 2)))
+    tail = nodes[cuts[-1]:] if cuts else None  # a tree
+    pairs = set()
+    for start, stop in zip([0, *cuts], [*cuts, len(nodes)]):
+        members = nodes[start:stop]
+        pairs |= {(members[k - 1 if rng.random() < 0.5 else rng.randrange(k)], members[k])
+                  for k in range(1, len(members))}
+        for _ in range(rng.randint(0, 3) if len(members) > 2 and members != tail else 0):
+            u, v = rng.sample(members, 2)
+            if (u, v) not in pairs and (v, u) not in pairs:
+                pairs.add((u, v))
+    declared = rng.sample(nodes, len(nodes))
+    lines = [f"node {name}" for name in declared]
+    lines += [f"edge {u} {v} 0.5" if rng.random() < 0.5 else f"edge {v} {u} 0.5"
+              for u, v in rng.sample(sorted(pairs), len(pairs))]
+    lines += [f"query {s} {t}" for s, t in (rng.sample(nodes, 2)
+                                             for _ in range(rng.randint(2, 4)))]
+    return "\n".join(lines + ["constraint >= 0"]) + "\n"
+
+
+def component(model, start):
+    """The nodes connected to ``start``."""
+    seen, todo = {start}, [start]
+    while todo:
+        for neighbor, _ in model.adjacency[todo.pop()]:
+            if neighbor not in seen:
+                seen.add(neighbor)
+                todo.append(neighbor)
+    return seen
+
+
+def hang_depth(model, name):
+    """Links from a node along its hang-from chain to the kept part or to
+    the chain's end."""
+    depth = 0
+    while model.hang.get(name):
+        name, depth = model.hang[name][0], depth + 1
+    return depth
 
 
 def recursive_cubes(model, query):
